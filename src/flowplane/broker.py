@@ -7,13 +7,18 @@ it left off, and a fresh consumer replays the full history. Nothing here
 knows who the producers or consumers are; publishing succeeds with zero
 consumers attached.
 
-The broker also runs out of process: a length-prefixed binary
-request/response protocol over a stream socket, request tags
-{1 publish, 2 poll, 3 commit, 4 committed-offset}:
+The broker also runs out of process over the shared framing (see
+``framing``):
 
-    request:  u32 body_len | tag u8 | body
-    response: u32 body_len | status u8 (0 ok) | body (error: u16 len | utf-8)
-    strings:  u16 len | utf-8 bytes
+    tags:   1 publish          topic str | u32 len | record
+                               -> offset u64
+            2 poll             consumer str | topic str | from_offset u64
+                               | max_records u32 | max_wait_micros u64
+                               -> u32 count | count x (offset u64 | u32 len | record)
+            3 commit           consumer str | topic str | offset u64
+            4 committed-offset consumer str | topic str
+                               -> u8 0, or u8 1 | offset u64
+    status: 1 BrokerError, 2 OffsetOutOfRangeError, 3 RecordTooLargeError
 
 ``BrokerClient`` speaks that protocol and exposes the same operation
 contract as ``Broker``, so ``BrokerConsumer`` works over either. Consumers
@@ -23,17 +28,15 @@ transport, is the dominant latency of this backend.
 
 from __future__ import annotations
 
-import logging
-import socket
-import socketserver
 import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
-log = logging.getLogger(__name__)
+from .framing import MAX_RECORD_BYTES, CallClient, FramedServer, pack_str, read_str
+from .wire import Reader
 
-MAX_RECORD_BYTES = 64 * 1024
 DEFAULT_POLL_INTERVAL = 0.001
 
 
@@ -208,163 +211,59 @@ _REQ_POLL = 2
 _REQ_COMMIT = 3
 _REQ_COMMITTED = 4
 
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw
+_ERRORS = {1: BrokerError, 2: OffsetOutOfRangeError, 3: RecordTooLargeError}
 
 
-class _Cursor:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise BrokerError("truncated request")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def read_str(self) -> str:
-        (n,) = struct.unpack(">H", self.take(2))
-        return self.take(n).decode("utf-8")
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-class _BrokerRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        broker: Broker = self.server.broker  # type: ignore[attr-defined]
-        sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            while True:
-                (body_len,) = struct.unpack(">I", _recv_exact(sock, 4))
-                body = _recv_exact(sock, body_len)
-                try:
-                    reply = self._dispatch(broker, body)
-                    sock.sendall(struct.pack(">IB", len(reply) + 1, 0) + reply)
-                except (BrokerError, struct.error) as exc:
-                    msg = str(exc).encode("utf-8")
-                    sock.sendall(
-                        struct.pack(">IB", len(msg) + 3, 1)
-                        + struct.pack(">H", len(msg))
-                        + msg
-                    )
-        except (ConnectionError, OSError):
-            return
-
-    @staticmethod
-    def _dispatch(broker: Broker, body: bytes) -> bytes:
-        cur = _Cursor(body)
-        (tag,) = cur.take(1)
-        if tag == _REQ_PUBLISH:
-            topic = cur.read_str()
-            (n,) = struct.unpack(">I", cur.take(4))
-            offset = broker.publish(topic, cur.take(n))
-            return struct.pack(">Q", offset)
-        if tag == _REQ_POLL:
-            consumer = cur.read_str()
-            topic = cur.read_str()
-            from_offset, max_records, wait_micros = struct.unpack(">QIQ", cur.take(20))
-            batch = broker.poll(
-                consumer, topic, from_offset, max_records, wait_micros / 1e6
-            )
-            parts = [struct.pack(">I", len(batch))]
-            for record in batch:
-                parts.append(struct.pack(">QI", record.offset, len(record.data)))
-                parts.append(record.data)
-            return b"".join(parts)
-        if tag == _REQ_COMMIT:
-            consumer = cur.read_str()
-            topic = cur.read_str()
-            (offset,) = struct.unpack(">Q", cur.take(8))
-            broker.commit(consumer, topic, offset)
-            return b""
-        if tag == _REQ_COMMITTED:
-            consumer = cur.read_str()
-            topic = cur.read_str()
-            offset = broker.committed(consumer, topic)
-            if offset is None:
-                return struct.pack(">B", 0)
-            return struct.pack(">BQ", 1, offset)
-        raise BrokerError(f"unknown request tag {tag}")
+def _dispatch(broker: Broker, body: bytes) -> bytes:
+    r = Reader(body)
+    tag = r.u8()
+    if tag == _REQ_PUBLISH:
+        topic = read_str(r)
+        offset = broker.publish(topic, r.take(r.u32()))
+        return struct.pack(">Q", offset)
+    if tag == _REQ_POLL:
+        consumer = read_str(r)
+        topic = read_str(r)
+        from_offset, max_records, wait_micros = struct.unpack(">QIQ", r.take(20))
+        batch = broker.poll(consumer, topic, from_offset, max_records, wait_micros / 1e6)
+        parts = [struct.pack(">I", len(batch))]
+        for record in batch:
+            parts.append(struct.pack(">QI", record.offset, len(record.data)))
+            parts.append(record.data)
+        return b"".join(parts)
+    if tag == _REQ_COMMIT:
+        consumer = read_str(r)
+        topic = read_str(r)
+        broker.commit(consumer, topic, r.u64())
+        return b""
+    if tag == _REQ_COMMITTED:
+        consumer = read_str(r)
+        topic = read_str(r)
+        offset = broker.committed(consumer, topic)
+        if offset is None:
+            return struct.pack(">B", 0)
+        return struct.pack(">BQ", 1, offset)
+    raise BrokerError(f"unknown request tag {tag}")
 
 
-class BrokerServer:
+class BrokerServer(FramedServer):
     """Serves a Broker over TCP; one thread per connection."""
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = 0):
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _BrokerRequestHandler)
-        self._server.broker = broker  # type: ignore[attr-defined]
-        self.address: tuple[str, int] = self._server.server_address
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="broker-server",
-            daemon=True,
-        )
-
-    def start(self) -> "BrokerServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=2)
+        super().__init__(partial(_dispatch, broker), _ERRORS, host, port, "broker-server")
 
 
-class BrokerClient:
+class BrokerClient(CallClient):
     """Socket client with the same contract as Broker (one serial channel)."""
 
-    def __init__(self, address: tuple[str, int], connect_timeout: float = 5.0):
-        self._sock = socket.create_connection(address, timeout=connect_timeout)
-        self._sock.settimeout(None)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _call(self, body: bytes) -> bytes:
-        with self._lock:
-            self._sock.sendall(struct.pack(">I", len(body)) + body)
-            (length,) = struct.unpack(">I", _recv_exact(self._sock, 4))
-            reply = _recv_exact(self._sock, length)
-        status = reply[0]
-        if status != 0:
-            (n,) = struct.unpack(">H", reply[1:3])
-            message = reply[3 : 3 + n].decode("utf-8")
-            if "offset" in message:
-                raise OffsetOutOfRangeError(message)
-            raise BrokerError(message)
-        return reply[1:]
+    errors = _ERRORS
 
     def publish(self, topic: str, data: bytes) -> int:
         if len(data) > MAX_RECORD_BYTES:
             raise RecordTooLargeError(
                 f"record of {len(data)} bytes exceeds {MAX_RECORD_BYTES}"
             )
-        body = bytes([_REQ_PUBLISH]) + _pack_str(topic) + struct.pack(">I", len(data)) + data
+        body = bytes([_REQ_PUBLISH]) + pack_str(topic) + struct.pack(">I", len(data)) + data
         return struct.unpack(">Q", self._call(body))[0]
 
     def poll(
@@ -377,30 +276,28 @@ class BrokerClient:
     ) -> list[Record]:
         body = (
             bytes([_REQ_POLL])
-            + _pack_str(consumer_id)
-            + _pack_str(topic)
+            + pack_str(consumer_id)
+            + pack_str(topic)
             + struct.pack(">QIQ", from_offset, max_records, int(max_wait * 1e6))
         )
-        reply = self._call(body)
-        cur = _Cursor(reply)
-        (count,) = struct.unpack(">I", cur.take(4))
+        r = Reader(self._call(body))
         records = []
-        for _ in range(count):
-            offset, n = struct.unpack(">QI", cur.take(12))
-            records.append(Record(offset=offset, data=cur.take(n)))
+        for _ in range(r.u32()):
+            offset, n = struct.unpack(">QI", r.take(12))
+            records.append(Record(offset=offset, data=r.take(n)))
         return records
 
     def commit(self, consumer_id: str, topic: str, offset: int) -> None:
         self._call(
             bytes([_REQ_COMMIT])
-            + _pack_str(consumer_id)
-            + _pack_str(topic)
+            + pack_str(consumer_id)
+            + pack_str(topic)
             + struct.pack(">Q", offset)
         )
 
     def committed(self, consumer_id: str, topic: str) -> int | None:
         reply = self._call(
-            bytes([_REQ_COMMITTED]) + _pack_str(consumer_id) + _pack_str(topic)
+            bytes([_REQ_COMMITTED]) + pack_str(consumer_id) + pack_str(topic)
         )
         if reply[0] == 0:
             return None

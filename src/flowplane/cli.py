@@ -277,9 +277,5 @@ def service_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def main() -> int:  # default entry mirrors `bench`
-    return bench_main()
-
-
 if __name__ == "__main__":
     sys.exit(bench_main())

@@ -1,19 +1,16 @@
 """Request/response socket channel onto the core's call interface.
 
 Standalone services use this to return packets, install flows, and report
-links when they do not share a process with the core. Framing matches the
-other socket transports (big-endian, length-prefixed):
+links when they do not share a process with the core. It runs over the
+shared framing (see ``framing``):
 
-    request:  u32 body_len | tag u8 | body
-    response: u32 body_len | status u8 | body
-
-    tags: 1 packet-out   dpid u64 | out_port u16 | frame
-          2 flow-mod     dpid u64 | op u8 | rule_id u64 (0 = none)
-                         | priority u16 | match | actions | hard_timeout u32
-          3 report-link  src u64 | src_port u16 | dst u64 | dst_port u16 | up u8
-
-    status: 0 ok, 1 error, 2 unknown dpid, 3 unknown port, 4 unknown rule
-            (error body: u16 len | utf-8 message)
+    tags:   1 packet-out   dpid u64 | out_port u16 | frame
+            2 flow-mod     dpid u64 | op u8 | rule_id u64 (0 = none)
+                           | priority u16 | match | actions | hard_timeout u32
+                           -> rule_id u64
+            3 report-link  src u64 | src_port u16 | dst u64 | dst_port u16 | up u8
+    status: 1 CoreError, 2 UnknownDatapathError, 3 UnknownPortError,
+            4 UnknownRuleError
 
 ``RemoteCore`` raises the same exception types as ``Core`` itself, so a
 service cannot tell (apart from latency) whether its core handle is local.
@@ -21,11 +18,8 @@ service cannot tell (apart from latency) whether its core handle is local.
 
 from __future__ import annotations
 
-import logging
-import socket
-import socketserver
 import struct
-import threading
+from functools import partial
 
 from .core import (
     Core,
@@ -35,6 +29,7 @@ from .core import (
     UnknownPortError,
     UnknownRuleError,
 )
+from .framing import CallClient, FramedServer
 from .wire import (
     FlowModOp,
     Frame,
@@ -47,36 +42,16 @@ from .wire import (
     read_match,
 )
 
-log = logging.getLogger(__name__)
-
 _REQ_PACKET_OUT = 1
 _REQ_FLOW_MOD = 2
 _REQ_REPORT_LINK = 3
 
-_STATUS_OK = 0
-_STATUS_ERROR = 1
-_STATUS_NO_DPID = 2
-_STATUS_NO_PORT = 3
-_STATUS_NO_RULE = 4
-
-_ERROR_STATUS = {
-    UnknownDatapathError: _STATUS_NO_DPID,
-    UnknownPortError: _STATUS_NO_PORT,
-    UnknownRuleError: _STATUS_NO_RULE,
+_ERRORS = {
+    1: CoreError,
+    2: UnknownDatapathError,
+    3: UnknownPortError,
+    4: UnknownRuleError,
 }
-
-_STATUS_ERRORS = {v: k for k, v in _ERROR_STATUS.items()}
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
 
 
 def _encode_flow_mod(req: FlowModRequest) -> bytes:
@@ -107,102 +82,34 @@ def _decode_flow_mod(r: Reader) -> FlowModRequest:
     )
 
 
-class _CoreApiHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        core: Core = self.server.core  # type: ignore[attr-defined]
-        sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            while True:
-                (body_len,) = struct.unpack(">I", _recv_exact(sock, 4))
-                body = _recv_exact(sock, body_len)
-                status, reply = self._dispatch(core, body)
-                sock.sendall(struct.pack(">IB", len(reply) + 1, status) + reply)
-        except (ConnectionError, OSError):
-            return
-
-    @staticmethod
-    def _dispatch(core: Core, body: bytes) -> tuple[int, bytes]:
-        try:
-            r = Reader(body)
-            tag = r.u8()
-            if tag == _REQ_PACKET_OUT:
-                dpid = r.u64()
-                out_port = r.u16()
-                frame = read_frame(r)
-                core.packet_out(dpid, out_port, frame)
-                return _STATUS_OK, b""
-            if tag == _REQ_FLOW_MOD:
-                rule_id = core.flow_mod(_decode_flow_mod(r))
-                return _STATUS_OK, struct.pack(">Q", rule_id)
-            if tag == _REQ_REPORT_LINK:
-                src, src_port, dst, dst_port, up = struct.unpack(">QHQHB", r.take(21))
-                core.report_link(src, src_port, dst, dst_port, bool(up))
-                return _STATUS_OK, b""
-            raise CoreError(f"unknown request tag {tag}")
-        except CoreError as exc:
-            status = _ERROR_STATUS.get(type(exc), _STATUS_ERROR)
-            msg = str(exc).encode("utf-8")
-            return status, struct.pack(">H", len(msg)) + msg
-        except Exception as exc:
-            log.exception("core api request failed")
-            msg = str(exc).encode("utf-8")
-            return _STATUS_ERROR, struct.pack(">H", len(msg)) + msg
+def _dispatch(core: Core, body: bytes) -> bytes:
+    r = Reader(body)
+    tag = r.u8()
+    if tag == _REQ_PACKET_OUT:
+        dpid = r.u64()
+        out_port = r.u16()
+        core.packet_out(dpid, out_port, read_frame(r))
+        return b""
+    if tag == _REQ_FLOW_MOD:
+        return struct.pack(">Q", core.flow_mod(_decode_flow_mod(r)))
+    if tag == _REQ_REPORT_LINK:
+        src, src_port, dst, dst_port, up = struct.unpack(">QHQHB", r.take(21))
+        core.report_link(src, src_port, dst, dst_port, bool(up))
+        return b""
+    raise CoreError(f"unknown request tag {tag}")
 
 
-class CoreApiServer:
+class CoreApiServer(FramedServer):
     """Serves a core's call interface over TCP, one thread per connection."""
 
     def __init__(self, core: Core, host: str = "127.0.0.1", port: int = 0):
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _CoreApiHandler)
-        self._server.core = core  # type: ignore[attr-defined]
-        self.address: tuple[str, int] = self._server.server_address
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="coreapi-server",
-            daemon=True,
-        )
-
-    def start(self) -> "CoreApiServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=2)
+        super().__init__(partial(_dispatch, core), _ERRORS, host, port, "coreapi-server")
 
 
-class RemoteCore:
+class RemoteCore(CallClient):
     """Socket client mirroring the core's packet_out/flow_mod/report_link."""
 
-    def __init__(self, address: tuple[str, int], connect_timeout: float = 5.0):
-        self._sock = socket.create_connection(address, timeout=connect_timeout)
-        self._sock.settimeout(None)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _call(self, body: bytes) -> bytes:
-        with self._lock:
-            self._sock.sendall(struct.pack(">I", len(body)) + body)
-            (length,) = struct.unpack(">I", _recv_exact(self._sock, 4))
-            reply = _recv_exact(self._sock, length)
-        status = reply[0]
-        if status != _STATUS_OK:
-            (n,) = struct.unpack(">H", reply[1:3])
-            message = reply[3 : 3 + n].decode("utf-8")
-            raise _STATUS_ERRORS.get(status, CoreError)(message)
-        return reply[1:]
+    errors = _ERRORS
 
     def packet_out(self, dpid: int, out_port: int, frame: Frame) -> None:
         self._call(

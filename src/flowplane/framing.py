@@ -1,0 +1,169 @@
+"""Length-prefixed framing shared by the socket transports.
+
+The request/response protocols (broker, core API, topology queries) each
+run one TCP connection per client with serial calls, big-endian throughout:
+
+    request:    u32 body_len | tag u8 | fields
+    reply:      u32 body_len | status u8 | body
+    status:     0 ok; otherwise an index into the protocol's status table
+                of exception types, where 1 is the protocol's generic error
+    error body: u16 len | utf-8 message
+    strings:    u16 len | utf-8 bytes
+
+A protocol supplies only its tags, a ``dispatch(body) -> reply`` function
+that raises on failure, and its status table. The server answers each
+connection's requests in order on a thread of its own; it closes a
+connection whose request length exceeds ``MAX_REQUEST_BYTES`` or whose peer
+hangs up mid-frame. The p2p push stream writes events in the same
+``u32 len | body`` frame.
+"""
+
+from __future__ import annotations
+
+import logging
+import socket
+import socketserver
+import struct
+import threading
+from typing import Callable
+
+from .wire import Reader
+
+log = logging.getLogger(__name__)
+
+MAX_RECORD_BYTES = 64 * 1024
+# The largest legal request is a broker publish: tag, longest topic, record.
+MAX_REQUEST_BYTES = 1 + 2 + 0xFFFF + 4 + MAX_RECORD_BYTES
+
+STATUS_OK = 0
+STATUS_ERROR = 1
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_REPLY_HEAD = struct.Struct(">IB")
+
+
+def frame(body: bytes) -> bytes:
+    return _U32.pack(len(body)) + body
+
+
+def pack_str(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    return _U16.pack(len(raw)) + raw
+
+
+def read_str(r: Reader) -> str:
+    return r.take(r.u16()).decode("utf-8")
+
+
+def recv_exact(sock: socket.socket, n: int) -> bytes:
+    chunks = []
+    while n > 0:
+        chunk = sock.recv(n)
+        if not chunk:
+            raise ConnectionError("peer closed")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+class TcpServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def process_request_thread(self, request, client_address) -> None:
+        # unlike the stdlib's, lets a crashed handler reach threading.excepthook
+        try:
+            self.finish_request(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+
+class ServerThread:
+    """A bound socketserver, served on a daemon thread between start() and stop()."""
+
+    def __init__(self, server: socketserver.BaseServer, name: str):
+        self._server = server
+        self.address: tuple[str, int] = server.server_address
+        self._thread = threading.Thread(
+            target=lambda: server.serve_forever(poll_interval=0.05), name=name, daemon=True
+        )
+
+    def start(self):
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=2)
+
+
+class _FramedHandler(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        dispatch, statuses = self.server.dispatch, self.server.statuses  # type: ignore[attr-defined]
+        sock = self.request
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
+                (body_len,) = _U32.unpack(recv_exact(sock, 4))
+                if body_len > MAX_REQUEST_BYTES:
+                    log.warning("closing %s: request of %d bytes", self.client_address, body_len)
+                    return
+                body = recv_exact(sock, body_len)
+                try:
+                    status, reply = STATUS_OK, dispatch(body)
+                except Exception as exc:
+                    status = statuses.get(type(exc), STATUS_ERROR)
+                    if not isinstance(exc, tuple(statuses)):
+                        log.exception("request failed")
+                    reply = pack_str(str(exc))
+                sock.sendall(_REPLY_HEAD.pack(len(reply) + 1, status) + reply)
+        except OSError:  # includes the peer closing mid-frame
+            return
+
+
+class FramedServer(ServerThread):
+    """Answers each request with ``dispatch(body)``; a raised exception
+    becomes an error reply under its type's status in ``errors``."""
+
+    def __init__(
+        self,
+        dispatch: Callable[[bytes], bytes],
+        errors: dict[int, type[Exception]],
+        host: str,
+        port: int,
+        name: str,
+    ):
+        server = TcpServer((host, port), _FramedHandler)
+        server.dispatch = dispatch  # type: ignore[attr-defined]
+        server.statuses = {exc: status for status, exc in errors.items()}  # type: ignore[attr-defined]
+        super().__init__(server, name)
+
+
+class CallClient:
+    """One connection, serial calls; a reply with status s raises ``errors[s]``."""
+
+    errors: dict[int, type[Exception]]
+
+    def __init__(self, address: tuple[str, int], connect_timeout: float = 5.0):
+        self._sock = socket.create_connection(address, timeout=connect_timeout)
+        self._sock.settimeout(None)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+    def _call(self, body: bytes) -> bytes:
+        with self._lock:
+            self._sock.sendall(frame(body))
+            length, status = _REPLY_HEAD.unpack(recv_exact(self._sock, 5))
+            reply = recv_exact(self._sock, length - 1)
+        if status != STATUS_OK:
+            error = self.errors.get(status, self.errors[STATUS_ERROR])
+            raise error(read_str(Reader(reply)))
+        return reply

@@ -3,174 +3,85 @@
 The forwarding service needs three things from the topology service: where a
 host sits, the path from a switch to a host, and a way to report host
 sightings. In one process those are direct method calls; across processes
-this protocol carries the same three calls, so a standalone forwarding
-service keeps using the topology service instead of building its own map.
+this protocol carries the same three calls over the shared framing (see
+``framing``), so a standalone forwarding service keeps using the topology
+service instead of building its own map.
 
-    request:  u32 body_len | tag u8 | body
-    response: u32 body_len | status u8 | body
-    tags: 1 host-location   mac 6B
-          2 path            start_dpid u64 | mac 6B
-          3 learn-host      mac 6B | dpid u64 | port u16
-    status: 0 ok, 1 error, 2 unknown host, 3 no path
+    tags:   1 host-location   mac 6B -> dpid u64 | port u16
+            2 path            start_dpid u64 | mac 6B
+                              -> u16 count | count x (dpid u64 | out_port u16)
+            3 learn-host      mac 6B | dpid u64 | port u16
+    status: 1 RuntimeError, 2 UnknownHostError, 3 NoPathError
 """
 
 from __future__ import annotations
 
-import logging
-import socket
-import socketserver
 import struct
-import threading
+from functools import partial
 
+from .framing import CallClient, FramedServer
 from .services import HostLocation, NoPathError, PathHop, TopologyService, UnknownHostError
 from .wire import MacAddr, Reader
-
-log = logging.getLogger(__name__)
 
 _REQ_HOST_LOCATION = 1
 _REQ_PATH = 2
 _REQ_LEARN_HOST = 3
 
-_STATUS_OK = 0
-_STATUS_ERROR = 1
-_STATUS_UNKNOWN_HOST = 2
-_STATUS_NO_PATH = 3
+_ERRORS = {1: RuntimeError, 2: UnknownHostError, 3: NoPathError}
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-class _TopoQueryHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        topo: TopologyService = self.server.topo  # type: ignore[attr-defined]
-        sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+def _dispatch(topo: TopologyService, body: bytes) -> bytes:
+    r = Reader(body)
+    tag = r.u8()
+    if tag == _REQ_HOST_LOCATION:
+        mac = MacAddr(r.take(6))
+        loc = topo.host_location(mac)
+        if loc is None:
+            raise UnknownHostError(f"no location for {mac}")
+        return struct.pack(">QH", loc.dpid, loc.port)
+    if tag == _REQ_PATH:
+        dpid = r.u64()
+        mac = MacAddr(r.take(6))
         try:
-            while True:
-                (body_len,) = struct.unpack(">I", _recv_exact(sock, 4))
-                status, reply = self._dispatch(topo, _recv_exact(sock, body_len))
-                sock.sendall(struct.pack(">IB", len(reply) + 1, status) + reply)
-        except (ConnectionError, OSError):
-            return
-
-    @staticmethod
-    def _dispatch(topo: TopologyService, body: bytes) -> tuple[int, bytes]:
-        try:
-            r = Reader(body)
-            tag = r.u8()
-            if tag == _REQ_HOST_LOCATION:
-                mac = MacAddr(r.take(6))
-                loc = topo.host_location(mac)
-                if loc is None:
-                    return _STATUS_UNKNOWN_HOST, b""
-                return _STATUS_OK, struct.pack(">QH", loc.dpid, loc.port)
-            if tag == _REQ_PATH:
-                dpid = r.u64()
-                mac = MacAddr(r.take(6))
-                try:
-                    hops = topo.path_from_switch(dpid, mac)
-                except UnknownHostError:
-                    return _STATUS_UNKNOWN_HOST, b""
-                except NoPathError:
-                    return _STATUS_NO_PATH, b""
-                parts = [struct.pack(">H", len(hops))]
-                parts.extend(struct.pack(">QH", h.dpid, h.out_port) for h in hops)
-                return _STATUS_OK, b"".join(parts)
-            if tag == _REQ_LEARN_HOST:
-                mac = MacAddr(r.take(6))
-                dpid = r.u64()
-                port = r.u16()
-                topo.learn_host(mac, dpid, port)
-                return _STATUS_OK, b""
-            return _STATUS_ERROR, f"unknown request tag {tag}".encode()
-        except Exception as exc:
-            log.exception("topology query failed")
-            return _STATUS_ERROR, str(exc).encode()
+            hops = topo.path_from_switch(dpid, mac)
+        except NoPathError:
+            raise NoPathError(f"no path from switch {dpid} to {mac}") from None
+        parts = [struct.pack(">H", len(hops))]
+        parts.extend(struct.pack(">QH", h.dpid, h.out_port) for h in hops)
+        return b"".join(parts)
+    if tag == _REQ_LEARN_HOST:
+        mac = MacAddr(r.take(6))
+        dpid = r.u64()
+        port = r.u16()
+        topo.learn_host(mac, dpid, port)
+        return b""
+    raise RuntimeError(f"unknown request tag {tag}")
 
 
-class TopoQueryServer:
+class TopoQueryServer(FramedServer):
     """Serves a topology service's query API over TCP."""
 
     def __init__(self, topo: TopologyService, host: str = "127.0.0.1", port: int = 0):
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _TopoQueryHandler)
-        self._server.topo = topo  # type: ignore[attr-defined]
-        self.address: tuple[str, int] = self._server.server_address
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="topo-query-server",
-            daemon=True,
-        )
-
-    def start(self) -> "TopoQueryServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=2)
+        super().__init__(partial(_dispatch, topo), _ERRORS, host, port, "topo-query-server")
 
 
-class TopoQueryClient:
+class TopoQueryClient(CallClient):
     """Remote handle with the same three calls the forwarding service uses."""
 
-    def __init__(self, address: tuple[str, int], connect_timeout: float = 5.0):
-        self._sock = socket.create_connection(address, timeout=connect_timeout)
-        self._sock.settimeout(None)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _call(self, body: bytes) -> tuple[int, bytes]:
-        with self._lock:
-            self._sock.sendall(struct.pack(">I", len(body)) + body)
-            (length,) = struct.unpack(">I", _recv_exact(self._sock, 4))
-            reply = _recv_exact(self._sock, length)
-        return reply[0], reply[1:]
+    errors = _ERRORS
 
     def host_location(self, mac: MacAddr) -> HostLocation | None:
-        status, reply = self._call(bytes([_REQ_HOST_LOCATION]) + mac.octets)
-        if status == _STATUS_UNKNOWN_HOST:
+        try:
+            reply = self._call(bytes([_REQ_HOST_LOCATION]) + mac.octets)
+        except UnknownHostError:
             return None
-        if status != _STATUS_OK:
-            raise RuntimeError(reply.decode("utf-8", "replace"))
         dpid, port = struct.unpack(">QH", reply)
         return HostLocation(mac=mac, dpid=dpid, port=port)
 
     def path_from_switch(self, dpid: int, mac: MacAddr) -> list[PathHop]:
-        status, reply = self._call(
-            bytes([_REQ_PATH]) + struct.pack(">Q", dpid) + mac.octets
-        )
-        if status == _STATUS_UNKNOWN_HOST:
-            raise UnknownHostError(f"no location for {mac}")
-        if status == _STATUS_NO_PATH:
-            raise NoPathError(f"no path from switch {dpid} to {mac}")
-        if status != _STATUS_OK:
-            raise RuntimeError(reply.decode("utf-8", "replace"))
-        r = Reader(reply)
+        r = Reader(self._call(bytes([_REQ_PATH]) + struct.pack(">Q", dpid) + mac.octets))
         count = r.u16()
         return [PathHop(dpid=r.u64(), out_port=r.u16()) for _ in range(count)]
 
     def learn_host(self, mac: MacAddr, dpid: int, port: int) -> None:
-        status, reply = self._call(
-            bytes([_REQ_LEARN_HOST]) + mac.octets + struct.pack(">QH", dpid, port)
-        )
-        if status != _STATUS_OK:
-            raise RuntimeError(reply.decode("utf-8", "replace"))
+        self._call(bytes([_REQ_LEARN_HOST]) + mac.octets + struct.pack(">QH", dpid, port))

@@ -9,8 +9,9 @@ subscriber can never block the push path.
 
 Out-of-process mode is a long-lived stream socket per subscription: the
 client sends a single byte, a bitmap of event kinds (bit ``tag-1`` for wire
-tag ``tag``), and the server then writes length-prefixed encoded events for
-the life of the connection.
+tag ``tag``), and the server then writes each encoded event in the shared
+``u32 len | event`` frame (see ``framing``) for the life of the connection.
+An empty or unknown bitmap closes the connection.
 
 Coupling contrast with the broker backend (documented, not enforced): a
 push subscriber must know the distributor's endpoint and the event-kind
@@ -30,6 +31,7 @@ import time
 from collections import deque
 from typing import Iterable
 
+from .framing import ServerThread, TcpServer, frame
 from .wire import Event, EventKind, encode_event, event_kind
 
 log = logging.getLogger(__name__)
@@ -162,23 +164,23 @@ class _P2pStreamHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         distributor: P2pDistributor = self.server.distributor  # type: ignore[attr-defined]
         sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        first = sock.recv(1)
-        if not first:
-            return
         try:
-            kinds = bitmap_to_kinds(first[0])
-            sub = distributor.subscribe(kinds)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            first = sock.recv(1)
+            if not first:
+                return
+            sub = distributor.subscribe(bitmap_to_kinds(first[0]))
         except P2pError as exc:
             log.warning("rejected stream subscription: %s", exc)
+            return
+        except OSError:
             return
         try:
             while not self.server.stopping:  # type: ignore[attr-defined]
                 data = sub.get(timeout=0.1)
-                if data is None:
-                    continue
-                sock.sendall(struct.pack(">I", len(data)) + data)
-        except (ConnectionError, OSError):
+                if data is not None:
+                    sock.sendall(frame(data))
+        except OSError:
             pass
         finally:
             try:
@@ -187,33 +189,17 @@ class _P2pStreamHandler(socketserver.BaseRequestHandler):
                 pass
 
 
-class P2pStreamServer:
+class P2pStreamServer(ServerThread):
     """Serves push subscriptions over TCP, one long-lived stream each."""
 
     def __init__(self, distributor: P2pDistributor, host: str = "127.0.0.1", port: int = 0):
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _P2pStreamHandler)
+        super().__init__(TcpServer((host, port), _P2pStreamHandler), "p2p-server")
         self._server.distributor = distributor  # type: ignore[attr-defined]
         self._server.stopping = False  # type: ignore[attr-defined]
-        self.address: tuple[str, int] = self._server.server_address
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="p2p-server",
-            daemon=True,
-        )
-
-    def start(self) -> "P2pStreamServer":
-        self._thread.start()
-        return self
 
     def stop(self) -> None:
         self._server.stopping = True  # type: ignore[attr-defined]
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=2)
+        super().stop()
 
 
 class P2pStreamClient:

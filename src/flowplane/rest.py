@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -29,6 +28,7 @@ from .core import (
     UnknownPortError,
     UnknownRuleError,
 )
+from .framing import ServerThread
 from .wire import Action, ActionKind, FlowModOp, FlowRule, MacAddr, Match
 
 log = logging.getLogger(__name__)
@@ -214,28 +214,12 @@ class _RestHandler(BaseHTTPRequestHandler):
         self._reply(204)
 
 
-class RestServer:
+class RestServer(ServerThread):
     """Threaded HTTP listener bound to the given address (port 0 = ephemeral)."""
 
     def __init__(self, core, host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _RestHandler)
-        self._server.daemon_threads = True
+        super().__init__(ThreadingHTTPServer((host, port), _RestHandler), "rest-server")
         self._server.core = core  # type: ignore[attr-defined]
-        self.address: tuple[str, int] = self._server.server_address
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="rest-server",
-            daemon=True,
-        )
-
-    def start(self) -> "RestServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=2)
 
 
 # -- client --------------------------------------------------------------------

@@ -17,6 +17,18 @@ from flowplane.broker import (
 )
 
 
+def _in_process_and_over_socket():
+    """A fresh Broker, then a BrokerClient onto another fresh Broker."""
+    yield Broker()
+    server = BrokerServer(Broker()).start()
+    client = BrokerClient(server.address)
+    try:
+        yield client
+    finally:
+        client.close()
+        server.stop()
+
+
 class TestLogContract:
     def test_first_publish_gets_offset_zero(self):
         broker = Broker()
@@ -160,10 +172,16 @@ class TestCommitResume:
         assert resumed.get(timeout=0.01) is None
 
     def test_commit_beyond_log_errors(self):
-        broker = Broker()
-        broker.publish("t", b"a")
-        with pytest.raises(OffsetOutOfRangeError):
-            broker.commit("c", "t", 2)
+        for broker in _in_process_and_over_socket():
+            broker.publish("t", b"a")
+            with pytest.raises(OffsetOutOfRangeError, match="cannot commit 5 beyond log length 1"):
+                broker.commit("c", "t", 5)
+
+    def test_poll_beyond_log_errors(self):
+        for broker in _in_process_and_over_socket():
+            broker.publish("t", b"a")
+            with pytest.raises(OffsetOutOfRangeError, match="offset 5 beyond log length 1"):
+                broker.poll("c", "t", 5)
 
     def test_consumer_get_timeout(self):
         broker = Broker()
