@@ -28,14 +28,16 @@ transport, is the dominant latency of this backend.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
 from .framing import MAX_RECORD_BYTES, CallClient, FramedServer, pack_str, read_str
-from .wire import Reader
+from .wire import Reader, event_seq
 
 DEFAULT_POLL_INTERVAL = 0.001
 
@@ -156,6 +158,10 @@ class BrokerConsumer:
     consumer replays from 0. Progress is committed after every record handed
     out. Empty polls sleep ``poll_interval`` before the next attempt, which
     makes the interval the floor of this backend's delivery latency.
+
+    Over several topics the records must be encoded events: each refill is
+    merged by the ``seq`` in their fixed header, so events arrive in the
+    order the core stamped them whatever topic they came from.
     """
 
     def __init__(
@@ -176,30 +182,41 @@ class BrokerConsumer:
         for t in self.topics:
             start = broker.committed(consumer_id, t) if resume else None
             self._offsets[t] = start if start is not None else 0
-        self._buffer: list[tuple[str, Record]] = []
+        self._buffer: deque[tuple[str, Record]] = deque()
 
     def get(self, timeout: float | None = 0.0) -> bytes | None:
         """Next record's bytes across this consumer's topics, or None."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._buffer:
-                topic, record = self._buffer.pop(0)
+                topic, record = self._buffer.popleft()
                 self._offsets[topic] = record.offset + 1
                 self.broker.commit(self.consumer_id, topic, record.offset + 1)
                 return record.data
-            got_any = False
-            for t in self.topics:
-                batch = self.broker.poll(
-                    self.consumer_id, t, self._offsets[t], self.batch_size, 0.0
-                )
-                if batch:
-                    got_any = True
-                    self._buffer.extend((t, r) for r in batch)
-            if got_any:
+            if self._refill():
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 return None
             time.sleep(self.poll_interval)
+
+    def _refill(self) -> bool:
+        batches = []
+        for t in self.topics:
+            batch = self.broker.poll(self.consumer_id, t, self._offsets[t], self.batch_size, 0.0)
+            if batch:
+                batches.append((t, batch))
+        if len(batches) == 1:
+            t, batch = batches[0]
+            self._buffer.extend((t, r) for r in batch)
+        elif batches:
+            # a full batch may stop short of records that precede another topic's:
+            # hand out nothing past its last seq, and poll the rest again
+            full = [batch for _, batch in batches if len(batch) >= self.batch_size]
+            horizon = min((event_seq(batch[-1].data) for batch in full), default=math.inf)
+            merged = [(t, r) for t, batch in batches for r in batch if event_seq(r.data) <= horizon]
+            merged.sort(key=lambda item: event_seq(item[1].data))
+            self._buffer.extend(merged)
+        return bool(batches)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from .wire import (
     pack_actions,
     pack_frame,
     pack_match,
-    read_actions,
-    read_frame,
-    read_match,
+    unpack_actions,
+    unpack_frame,
+    unpack_match,
 )
 
 _REQ_PACKET_OUT = 1
@@ -68,8 +68,8 @@ def _decode_flow_mod(r: Reader) -> FlowModRequest:
     op = FlowModOp(r.u8())
     rule_id = r.u64()
     priority = r.u16()
-    match = read_match(r)
-    actions = read_actions(r)
+    match = r.read(unpack_match)
+    actions = r.read(unpack_actions)
     hard_timeout_s = r.u32()
     return FlowModRequest(
         dpid=dpid,
@@ -88,7 +88,7 @@ def _dispatch(core: Core, body: bytes) -> bytes:
     if tag == _REQ_PACKET_OUT:
         dpid = r.u64()
         out_port = r.u16()
-        core.packet_out(dpid, out_port, read_frame(r))
+        core.packet_out(dpid, out_port, r.read(unpack_frame))
         return b""
     if tag == _REQ_FLOW_MOD:
         return struct.pack(">Q", core.flow_mod(_decode_flow_mod(r)))

@@ -104,14 +104,44 @@ class _DelayLine:
         self._thread.join(timeout=2)
 
 
+class _Mailbox:
+    """An actor's queue plus a count of items put and not yet fully handled.
+
+    The count rises before an item is queued and falls only after its handler
+    returned, so an actor that is idle cannot have work queued or running.
+    """
+
+    def __init__(self) -> None:
+        self._q: SimpleQueue = SimpleQueue()
+        self._lock = threading.Lock()
+        self._in_flight = 0
+
+    def put(self, item) -> None:
+        with self._lock:
+            self._in_flight += 1
+        self._q.put(item)
+
+    def get(self):
+        return self._q.get()
+
+    def done(self) -> None:
+        with self._lock:
+            self._in_flight -= 1
+
+    def stop(self) -> None:
+        self._q.put(None)
+
+    def idle(self) -> bool:
+        return self._in_flight == 0
+
+
 class SimSwitch:
     """Actor around a SwitchState: frames in, effects out, controller uplink."""
 
     def __init__(self, state: SwitchState):
         self.state = state
         self.dpid = state.dpid
-        self._q: SimpleQueue = SimpleQueue()
-        self._busy = False
+        self._q = _Mailbox()
         self._port_sinks: dict[int, Callable[[Frame], None]] = {}
         self._uplink: Callable[[bytes], None] | None = None
         self._on_expired: Callable[[int, list[FlowRule]], None] | None = None
@@ -163,11 +193,11 @@ class SimSwitch:
         self._thread.start()
 
     def stop(self) -> None:
-        self._q.put(None)
+        self._q.stop()
         self._thread.join(timeout=2)
 
     def idle(self) -> bool:
-        return self._q.empty() and not self._busy
+        return self._q.idle()
 
     # -- actor loop ---------------------------------------------------------
 
@@ -176,13 +206,12 @@ class SimSwitch:
             item = self._q.get()
             if item is None:
                 return
-            self._busy = True
             try:
                 self._dispatch(item)
             except Exception:
                 log.exception("switch %d: failed to handle %r", self.dpid, item[0])
             finally:
-                self._busy = False
+                self._q.done()
 
     def _dispatch(self, item: tuple) -> None:
         kind = item[0]
@@ -282,7 +311,7 @@ class SimHost:
         self._inbox_limit = inbox_limit
         self.frames_received = 0
         self.bytes_received = 0
-        self._q: SimpleQueue = SimpleQueue()
+        self._q = _Mailbox()
         self._lock = threading.Lock()
         self._ping_seq = itertools.count(1)
         self._ping_waiters: dict[int, _Waiter] = {}
@@ -299,11 +328,11 @@ class SimHost:
         self._thread.start()
 
     def stop(self) -> None:
-        self._q.put(None)
+        self._q.stop()
         self._thread.join(timeout=2)
 
     def idle(self) -> bool:
-        return self._q.empty()
+        return self._q.idle()
 
     # -- sending ------------------------------------------------------------
 
@@ -436,6 +465,8 @@ class SimHost:
                 self._receive(frame)
             except Exception:
                 log.exception("host %s: bad frame", self.host_id)
+            finally:
+                self._q.done()
 
     def _receive(self, frame: Frame) -> None:
         if frame.ethertype == ETHERTYPE_DISCOVERY:
@@ -555,7 +586,7 @@ class Fabric:
         raise KeyError(f"no link at {a_dpid}:{a_port}")
 
     def quiesce(self, timeout: float = 5.0) -> bool:
-        """Wait until every actor queue has drained; True on success."""
+        """Wait until no actor has work queued or running; True on success."""
         deadline = time.monotonic() + timeout
         calm = 0
         while time.monotonic() < deadline:

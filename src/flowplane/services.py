@@ -30,6 +30,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 from .core import CoreError, FlowModRequest
@@ -113,17 +114,25 @@ class PathHop:
 
 @dataclass(frozen=True)
 class TopologyGraph:
-    """Immutable snapshot of the discovered network."""
+    """Immutable snapshot of the discovered network.
+
+    Path queries memoise the adjacency and every switch-to-switch route on
+    the snapshot, so a snapshot must not be mutated once it has been queried.
+    """
 
     switches: frozenset[int]
     links: dict[tuple[int, int], tuple[int, int]]  # (dpid, port) -> (dpid, port)
     hosts: dict[MacAddr, HostLocation]
+    _routes: dict[tuple[int, int], tuple[PathHop, ...] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def link_set(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(
             (sd, sp, dd, dp) for (sd, sp), (dd, dp) in self.links.items()
         )
 
+    @cached_property
     def adjacency(self) -> dict[int, list[tuple[int, int, int]]]:
         """dpid -> sorted [(peer_dpid, out_port, peer_port)]."""
         adj: dict[int, list[tuple[int, int, int]]] = {d: [] for d in self.switches}
@@ -133,6 +142,45 @@ class TopologyGraph:
         for entries in adj.values():
             entries.sort()
         return adj
+
+    def route(self, start_dpid: int, dst_dpid: int) -> tuple[PathHop, ...] | None:
+        """Hops from ``start_dpid`` up to, not including, ``dst_dpid``; None if unreachable.
+
+        Ties break toward the smallest next-hop dpid at every step.
+        """
+        key = (start_dpid, dst_dpid)
+        if key not in self._routes:
+            self._routes[key] = self._shortest_route(start_dpid, dst_dpid)
+        return self._routes[key]
+
+    def _shortest_route(self, start_dpid: int, dst_dpid: int) -> tuple[PathHop, ...] | None:
+        adj = self.adjacency
+
+        # breadth-first distances toward the destination switch, walked backwards
+        dist = {dst_dpid: 0}
+        frontier = [dst_dpid]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for peer, _out, _pport in adj[node]:
+                    if peer not in dist:
+                        dist[peer] = dist[node] + 1
+                        nxt.append(peer)
+            frontier = nxt
+        if start_dpid not in dist:
+            return None
+
+        hops = []
+        node = start_dpid
+        while node != dst_dpid:
+            step = min(
+                (peer, out)
+                for peer, out, _pport in adj[node]
+                if dist.get(peer) == dist[node] - 1
+            )
+            hops.append(PathHop(dpid=node, out_port=step[1]))
+            node = step[0]
+        return tuple(hops)
 
 
 @dataclass
@@ -176,34 +224,10 @@ def path_from_switch(graph: TopologyGraph, start_dpid: int, dst_mac: MacAddr) ->
         raise UnknownHostError(f"no location for {dst_mac}")
     if start_dpid not in graph.switches or dst.dpid not in graph.switches:
         raise NoPathError(f"switch {start_dpid} or {dst.dpid} not in graph")
-    adj = graph.adjacency()
-
-    # breadth-first distances toward the destination switch, walked backwards
-    dist = {dst.dpid: 0}
-    frontier = [dst.dpid]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for peer, _out, _pport in adj[node]:
-                if peer not in dist:
-                    dist[peer] = dist[node] + 1
-                    nxt.append(peer)
-        frontier = nxt
-    if start_dpid not in dist:
+    hops = graph.route(start_dpid, dst.dpid)
+    if hops is None:
         raise NoPathError(f"no path from switch {start_dpid} to {dst_mac}")
-
-    hops: list[PathHop] = []
-    node = start_dpid
-    while node != dst.dpid:
-        step = min(
-            (peer, out)
-            for peer, out, _pport in adj[node]
-            if dist.get(peer) == dist[node] - 1
-        )
-        hops.append(PathHop(dpid=node, out_port=step[1]))
-        node = step[0]
-    hops.append(PathHop(dpid=dst.dpid, out_port=dst.port))
-    return hops
+    return [*hops, PathHop(dpid=dst.dpid, out_port=dst.port)]
 
 
 @dataclass
@@ -231,6 +255,9 @@ class TopologyService:
         self._links: dict[tuple[int, int], tuple[int, int]] = {}
         self._link_round: dict[tuple[int, int], int] = {}
         self._hosts: dict[MacAddr, HostLocation] = {}
+        # derived from the map on first use, dropped whenever the map changes
+        self._graph: TopologyGraph | None = None
+        self._link_ports: frozenset[tuple[int, int]] | None = None
         self._round = 0
         self._stop = threading.Event()
         self._timer: threading.Thread | None = None
@@ -270,6 +297,8 @@ class TopologyService:
                 self._on_packet(event, delta, reports)
             else:
                 delta.ignored = True
+            if not delta.empty:
+                self._map_changed()
         self._report(reports)
         return delta
 
@@ -360,9 +389,13 @@ class TopologyService:
             delta.hosts_learned.append(location)
 
     def _is_link_port(self, dpid: int, port: int) -> bool:
-        if (dpid, port) in self._links:
-            return True
-        return any(peer == (dpid, port) for peer in self._links.values())
+        if self._link_ports is None:
+            self._link_ports = frozenset(self._links).union(self._links.values())
+        return (dpid, port) in self._link_ports
+
+    def _map_changed(self) -> None:
+        self._graph = None
+        self._link_ports = None
 
     def _report(self, reports) -> None:
         for sd, sp, dd, dp, up in reports:
@@ -377,6 +410,8 @@ class TopologyService:
         delta = GraphDelta()
         with self._lock:
             self._learn(mac, dpid, port, delta)
+            if not delta.empty:
+                self._map_changed()
 
     # -- discovery ----------------------------------------------------------------
 
@@ -395,6 +430,8 @@ class TopologyService:
                 self._link_round.pop((sd, sp), None)
                 delta.links_removed.append((sd, sp, dd, dp))
                 reports.append((sd, sp, dd, dp, False))
+            if stale:
+                self._map_changed()
             targets = [
                 (dpid, port, self._round)
                 for dpid in sorted(self._switches)
@@ -411,12 +448,15 @@ class TopologyService:
     # -- queries --------------------------------------------------------------------
 
     def graph(self) -> TopologyGraph:
+        """The current snapshot; the same object until the map changes."""
         with self._lock:
-            return TopologyGraph(
-                switches=frozenset(self._switches),
-                links=dict(self._links),
-                hosts=dict(self._hosts),
-            )
+            if self._graph is None:
+                self._graph = TopologyGraph(
+                    switches=frozenset(self._switches),
+                    links=dict(self._links),
+                    hosts=dict(self._hosts),
+                )
+            return self._graph
 
     def link_set(self) -> frozenset[tuple[int, int, int, int]]:
         with self._lock:

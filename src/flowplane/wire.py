@@ -26,7 +26,9 @@ The rule layout deliberately omits the installation timestamp: it is local
 switch state, so decoded rules come back with ``installed_at == 0.0``.
 
 Encoding is a pure function of its argument and all types here are value
-objects, safe to share across threads.
+objects, safe to share across threads. Decoding is table-driven: one decoder
+per tag, each built on precompiled ``struct.Struct`` layouts read with
+``unpack_from`` straight out of the message.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from functools import partial
+from typing import Callable, TypeVar, Union
 
 EVENT_MAGIC = 0x45564E54  # "EVNT"
 SB_MAGIC = 0x53424D47  # "SBMG"
@@ -47,6 +50,8 @@ ETHERTYPE_DATA = 0x0800
 FLOOD_PORT = 0xFFFF
 CONTROLLER_PORT = 0xFFFE
 MAX_FRAME_PAYLOAD = 1500
+
+_T = TypeVar("_T")
 
 
 class WireError(ValueError):
@@ -393,6 +398,14 @@ class Reader:
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
+    def read(self, unpack: Callable[[bytes, int], tuple[_T, int]]) -> _T:
+        """Run an ``unpack_*`` function at the cursor and step past what it read."""
+        try:
+            value, self.pos = unpack(self.data, self.pos)
+        except struct.error as exc:
+            raise TruncatedError(str(exc)) from None
+        return value
+
 
 # ---------------------------------------------------------------------------
 # Shared sub-layout packers
@@ -409,16 +422,6 @@ def pack_frame(frame: Frame) -> bytes:
         + struct.pack(">HI", frame.ethertype, len(frame.payload))
         + frame.payload
     )
-
-
-def read_frame(r: Reader) -> Frame:
-    dst = MacAddr(r.take(6))
-    src = MacAddr(r.take(6))
-    ethertype = r.u16()
-    plen = r.u32()
-    if plen > MAX_FRAME_PAYLOAD:
-        raise LengthMismatchError(f"frame payload length {plen} out of range")
-    return Frame(dst=dst, src=src, ethertype=ethertype, payload=r.take(plen))
 
 
 def pack_match(match: Match) -> bytes:
@@ -439,18 +442,6 @@ def pack_match(match: Match) -> bytes:
     return bytes([presence]) + b"".join(parts)
 
 
-def read_match(r: Reader) -> Match:
-    presence = r.u8()
-    if presence & ~0x0F:
-        raise DecodeError(f"unknown match presence bits 0x{presence:02x}")
-    return Match(
-        in_port=r.u16() if presence & 1 else None,
-        eth_src=MacAddr(r.take(6)) if presence & 2 else None,
-        eth_dst=MacAddr(r.take(6)) if presence & 4 else None,
-        ethertype=r.u16() if presence & 8 else None,
-    )
-
-
 _ACTION_PORT_SENTINEL = {
     ActionKind.FLOOD: FLOOD_PORT,
     ActionKind.CONTROLLER: CONTROLLER_PORT,
@@ -468,20 +459,6 @@ def pack_actions(actions: tuple[Action, ...]) -> bytes:
     return b"".join(parts)
 
 
-def read_actions(r: Reader) -> tuple[Action, ...]:
-    count = r.u8()
-    actions = []
-    for _ in range(count):
-        kind_raw = r.u8()
-        port = r.u16()
-        try:
-            kind = ActionKind(kind_raw)
-        except ValueError:
-            raise BadTagError(f"unknown action kind {kind_raw}") from None
-        actions.append(Action(kind, port if kind is ActionKind.OUTPUT else None))
-    return tuple(actions)
-
-
 def pack_rule(rule: FlowRule) -> bytes:
     return (
         struct.pack(">QH", rule.rule_id, rule.priority)
@@ -491,12 +468,79 @@ def pack_rule(rule: FlowRule) -> bytes:
     )
 
 
-def read_rule(r: Reader) -> FlowRule:
-    rule_id, priority = struct.unpack(">QH", r.take(10))
-    match = read_match(r)
-    actions = read_actions(r)
-    hard_timeout_s, packet_count, byte_count = struct.unpack(">IQQ", r.take(20))
-    return FlowRule(
+# ---------------------------------------------------------------------------
+# Shared sub-layout unpackers
+# ---------------------------------------------------------------------------
+# Each takes the buffer and an offset and returns (value, end offset). A
+# buffer too short for a fixed-size field raises struct.error, which the
+# callers (Reader.read, _decode) turn into TruncatedError.
+
+_U8 = struct.Struct(">B")
+_U64 = struct.Struct(">Q")
+_FRAME_HEAD = struct.Struct(">6s6sHI")
+_ACTION = struct.Struct(">BH")
+_RULE_HEAD = struct.Struct(">QH")
+_RULE_TAIL = struct.Struct(">IQQ")
+_MATCH_FIELDS = ((1, "H"), (2, "6s"), (4, "6s"), (8, "H"))  # presence bit, format
+_MATCH_LAYOUTS = tuple(  # indexed by presence byte: the present fields, in wire order
+    struct.Struct(">" + "".join(fmt for bit, fmt in _MATCH_FIELDS if presence & bit))
+    for presence in range(16)
+)
+_ACTION_KINDS = {kind.value: kind for kind in ActionKind}
+
+
+def _frame_body(
+    data: bytes, pos: int, dst: bytes, src: bytes, ethertype: int, plen: int
+) -> tuple[Frame, int]:
+    """Finish a frame whose fixed head is already unpacked; ``pos`` is its payload."""
+    if plen > MAX_FRAME_PAYLOAD:
+        raise LengthMismatchError(f"frame payload length {plen} out of range")
+    end = pos + plen
+    if end > len(data):
+        raise TruncatedError(f"need {plen} bytes at offset {pos}, have {len(data) - pos}")
+    frame = Frame(dst=MacAddr(dst), src=MacAddr(src), ethertype=ethertype, payload=data[pos:end])
+    return frame, end
+
+
+def unpack_frame(data: bytes, pos: int) -> tuple[Frame, int]:
+    return _frame_body(data, pos + _FRAME_HEAD.size, *_FRAME_HEAD.unpack_from(data, pos))
+
+
+def unpack_match(data: bytes, pos: int) -> tuple[Match, int]:
+    (presence,) = _U8.unpack_from(data, pos)
+    if presence & ~0x0F:
+        raise DecodeError(f"unknown match presence bits 0x{presence:02x}")
+    layout = _MATCH_LAYOUTS[presence]
+    fields = iter(layout.unpack_from(data, pos + 1))
+    match = Match(
+        in_port=next(fields) if presence & 1 else None,
+        eth_src=MacAddr(next(fields)) if presence & 2 else None,
+        eth_dst=MacAddr(next(fields)) if presence & 4 else None,
+        ethertype=next(fields) if presence & 8 else None,
+    )
+    return match, pos + 1 + layout.size
+
+
+def unpack_actions(data: bytes, pos: int) -> tuple[tuple[Action, ...], int]:
+    (count,) = _U8.unpack_from(data, pos)
+    pos += 1
+    actions = []
+    for _ in range(count):
+        kind_raw, port = _ACTION.unpack_from(data, pos)
+        pos += _ACTION.size
+        kind = _ACTION_KINDS.get(kind_raw)
+        if kind is None:
+            raise BadTagError(f"unknown action kind {kind_raw}")
+        actions.append(Action(kind, port if kind is ActionKind.OUTPUT else None))
+    return tuple(actions), pos
+
+
+def unpack_rule(data: bytes, pos: int) -> tuple[FlowRule, int]:
+    rule_id, priority = _RULE_HEAD.unpack_from(data, pos)
+    match, pos = unpack_match(data, pos + _RULE_HEAD.size)
+    actions, pos = unpack_actions(data, pos)
+    hard_timeout_s, packet_count, byte_count = _RULE_TAIL.unpack_from(data, pos)
+    rule = FlowRule(
         rule_id=rule_id,
         priority=priority,
         match=match,
@@ -505,6 +549,7 @@ def read_rule(r: Reader) -> FlowRule:
         packet_count=packet_count,
         byte_count=byte_count,
     )
+    return rule, pos + _RULE_TAIL.size
 
 
 # ---------------------------------------------------------------------------
@@ -544,65 +589,115 @@ def encode_event(event: Event) -> bytes:
     return _frame_message(EVENT_MAGIC, kind, prefix + body)
 
 
-def _decode_envelope(data: bytes, expect_magic: int) -> tuple[int, Reader]:
-    r = Reader(data)
-    magic = r.u32()
+_HEADER = struct.Struct(">IBBI")  # magic, version, tag, payload_len
+
+
+def _open_envelope(data: bytes, expect_magic: int) -> int:
+    """Check the envelope and that the payload fills the rest; returns the tag."""
+    n = len(data)
+    if n >= _HEADER.size:
+        magic, version, tag, plen = _HEADER.unpack_from(data)
+    else:  # a short header still fails on its first wrong field before it counts as truncated
+        magic = int.from_bytes(data[:4], "big") if n >= 4 else expect_magic
+        version = data[4] if n >= 5 else WIRE_VERSION
+        tag = plen = None
     if magic != expect_magic:
         raise BadMagicError(f"magic 0x{magic:08X} != 0x{expect_magic:08X}")
-    version = r.u8()
     if version != WIRE_VERSION:
         raise BadVersionError(f"unknown version {version}")
-    tag = r.u8()
-    plen = r.u32()
-    payload = r.take(plen)
-    if r.remaining:
-        raise LengthMismatchError(f"{r.remaining} trailing bytes after payload")
-    return tag, Reader(payload)
+    if plen is None:
+        raise TruncatedError(f"need {_HEADER.size} header bytes, have {n}")
+    if n - _HEADER.size < plen:
+        raise TruncatedError(f"need {plen} payload bytes, have {n - _HEADER.size}")
+    if n - _HEADER.size > plen:
+        raise LengthMismatchError(f"{n - _HEADER.size - plen} trailing bytes after payload")
+    return tag
+
+
+def _decode(data: bytes, expect_magic: int, decoders: dict, family: str):
+    tag = _open_envelope(data, expect_magic)
+    decode = decoders.get(tag)
+    if decode is None:
+        raise BadTagError(f"unknown {family} tag {tag}")
+    try:
+        msg, end = decode(data, _HEADER.size)
+    except struct.error as exc:
+        raise TruncatedError(str(exc)) from None
+    if end != len(data):
+        raise LengthMismatchError(f"{len(data) - end} unread payload bytes")
+    return msg
+
+
+# Per-tag event decoders: each unpacks seq and ts_micros with the fixed
+# fields that follow them in one call.
+_PACKET_EVENT = struct.Struct(">QQQH6s6sHI")
+_LINK_EVENT = struct.Struct(">QQQHQHB")
+_DEVICE_EVENT = struct.Struct(">QQQB")
+_PORT_EVENT = struct.Struct(">QQQHB")
+_FLOWRULE_EVENT = struct.Struct(">QQB")  # the op is checked before the dpid is read
+_RULE_EVENT_OPS = {op.value: op for op in RuleEventOp}
+
+
+def _packet_event(data: bytes, pos: int) -> tuple[Event, int]:
+    seq, ts, dpid, in_port, *frame_head = _PACKET_EVENT.unpack_from(data, pos)
+    frame, end = _frame_body(data, pos + _PACKET_EVENT.size, *frame_head)
+    return PacketExceptionEvent(dpid=dpid, in_port=in_port, frame=frame, seq=seq, ts_micros=ts), end
+
+
+def _link_event(data: bytes, pos: int) -> tuple[Event, int]:
+    seq, ts, src_dpid, src_port, dst_dpid, dst_port, up = _LINK_EVENT.unpack_from(data, pos)
+    event = TopologyLinkEvent(
+        src_dpid=src_dpid,
+        src_port=src_port,
+        dst_dpid=dst_dpid,
+        dst_port=dst_port,
+        up=bool(up),
+        seq=seq,
+        ts_micros=ts,
+    )
+    return event, pos + _LINK_EVENT.size
+
+
+def _device_event(data: bytes, pos: int) -> tuple[Event, int]:
+    seq, ts, dpid, up = _DEVICE_EVENT.unpack_from(data, pos)
+    event = TopologyDeviceEvent(dpid=dpid, up=bool(up), seq=seq, ts_micros=ts)
+    return event, pos + _DEVICE_EVENT.size
+
+
+def _port_event(data: bytes, pos: int) -> tuple[Event, int]:
+    seq, ts, dpid, port, up = _PORT_EVENT.unpack_from(data, pos)
+    event = TopologyPortEvent(dpid=dpid, port=port, up=bool(up), seq=seq, ts_micros=ts)
+    return event, pos + _PORT_EVENT.size
+
+
+def _flowrule_event(data: bytes, pos: int) -> tuple[Event, int]:
+    seq, ts, op_raw = _FLOWRULE_EVENT.unpack_from(data, pos)
+    op = _RULE_EVENT_OPS.get(op_raw)
+    if op is None:
+        raise BadTagError(f"unknown rule-event op {op_raw}")
+    pos += _FLOWRULE_EVENT.size
+    (dpid,) = _U64.unpack_from(data, pos)
+    rule, end = unpack_rule(data, pos + _U64.size)
+    return FlowRuleEvent(op=op, dpid=dpid, rule=rule, seq=seq, ts_micros=ts), end
+
+
+_EVENT_DECODERS = {
+    EventKind.PACKET: _packet_event,
+    EventKind.LINK: _link_event,
+    EventKind.DEVICE: _device_event,
+    EventKind.PORT: _port_event,
+    EventKind.FLOWRULE: _flowrule_event,
+}
 
 
 def decode_event(data: bytes) -> Event:
     """Inverse of encode_event; rejects malformed input with distinct errors."""
-    tag, r = _decode_envelope(data, EVENT_MAGIC)
-    try:
-        kind = EventKind(tag)
-    except ValueError:
-        raise BadTagError(f"unknown event tag {tag}") from None
-    seq = r.u64()
-    ts_micros = r.u64()
-    if kind is EventKind.PACKET:
-        dpid = r.u64()
-        in_port = r.u16()
-        event: Event = PacketExceptionEvent(
-            dpid=dpid, in_port=in_port, frame=read_frame(r), seq=seq, ts_micros=ts_micros
-        )
-    elif kind is EventKind.LINK:
-        event = TopologyLinkEvent(
-            src_dpid=r.u64(),
-            src_port=r.u16(),
-            dst_dpid=r.u64(),
-            dst_port=r.u16(),
-            up=bool(r.u8()),
-            seq=seq,
-            ts_micros=ts_micros,
-        )
-    elif kind is EventKind.DEVICE:
-        event = TopologyDeviceEvent(dpid=r.u64(), up=bool(r.u8()), seq=seq, ts_micros=ts_micros)
-    elif kind is EventKind.PORT:
-        event = TopologyPortEvent(
-            dpid=r.u64(), port=r.u16(), up=bool(r.u8()), seq=seq, ts_micros=ts_micros
-        )
-    else:
-        op_raw = r.u8()
-        try:
-            op = RuleEventOp(op_raw)
-        except ValueError:
-            raise BadTagError(f"unknown rule-event op {op_raw}") from None
-        event = FlowRuleEvent(
-            op=op, dpid=r.u64(), rule=read_rule(r), seq=seq, ts_micros=ts_micros
-        )
-    if r.remaining:
-        raise LengthMismatchError(f"{r.remaining} unread payload bytes")
-    return event
+    return _decode(data, EVENT_MAGIC, _EVENT_DECODERS, "event")
+
+
+def event_seq(data: bytes) -> int:
+    """The seq of an encoded event, read at its fixed offset without decoding."""
+    return _U64.unpack_from(data, _HEADER.size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -642,28 +737,49 @@ def encode_sb(msg: SbMessage) -> bytes:
     return _frame_message(SB_MAGIC, tag, body)
 
 
+_HELLO = struct.Struct(">QH")
+_PACKET_SB = struct.Struct(">QH6s6sHI")  # packet-in and packet-out: dpid, port, frame head
+_FLOW_MOD = struct.Struct(">QB")
+_PORT_STATUS = struct.Struct(">QHB")
+_FLOW_MOD_OPS = {op.value: op for op in FlowModOp}
+
+
+def _hello(data: bytes, pos: int) -> tuple[SbMessage, int]:
+    dpid, count = _HELLO.unpack_from(data, pos)
+    pos += _HELLO.size
+    ports = struct.unpack_from(f">{count}H", data, pos)
+    return Hello(dpid=dpid, ports=ports), pos + 2 * count
+
+
+def _packet_sb(cls, data: bytes, pos: int) -> tuple[SbMessage, int]:
+    dpid, port, *frame_head = _PACKET_SB.unpack_from(data, pos)
+    frame, end = _frame_body(data, pos + _PACKET_SB.size, *frame_head)
+    return cls(dpid, port, frame), end
+
+
+def _flow_mod(data: bytes, pos: int) -> tuple[SbMessage, int]:
+    dpid, op_raw = _FLOW_MOD.unpack_from(data, pos)
+    op = _FLOW_MOD_OPS.get(op_raw)
+    if op is None:
+        raise BadTagError(f"unknown flow-mod op {op_raw}")
+    rule, end = unpack_rule(data, pos + _FLOW_MOD.size)
+    return FlowMod(dpid=dpid, op=op, rule=rule), end
+
+
+def _port_status(data: bytes, pos: int) -> tuple[SbMessage, int]:
+    dpid, port, up = _PORT_STATUS.unpack_from(data, pos)
+    return PortStatus(dpid=dpid, port=port, up=bool(up)), pos + _PORT_STATUS.size
+
+
+_SB_DECODERS = {
+    _SB_TAG_HELLO: _hello,
+    _SB_TAG_PACKET_IN: partial(_packet_sb, PacketIn),
+    _SB_TAG_PACKET_OUT: partial(_packet_sb, PacketOut),
+    _SB_TAG_FLOW_MOD: _flow_mod,
+    _SB_TAG_PORT_STATUS: _port_status,
+}
+
+
 def decode_sb(data: bytes) -> SbMessage:
-    tag, r = _decode_envelope(data, SB_MAGIC)
-    if tag == _SB_TAG_HELLO:
-        dpid = r.u64()
-        count = r.u16()
-        msg: SbMessage = Hello(dpid=dpid, ports=tuple(r.u16() for _ in range(count)))
-    elif tag == _SB_TAG_PACKET_IN:
-        msg = PacketIn(dpid=r.u64(), in_port=r.u16(), frame=read_frame(r))
-    elif tag == _SB_TAG_PACKET_OUT:
-        msg = PacketOut(dpid=r.u64(), out_port=r.u16(), frame=read_frame(r))
-    elif tag == _SB_TAG_FLOW_MOD:
-        dpid = r.u64()
-        op_raw = r.u8()
-        try:
-            op = FlowModOp(op_raw)
-        except ValueError:
-            raise BadTagError(f"unknown flow-mod op {op_raw}") from None
-        msg = FlowMod(dpid=dpid, op=op, rule=read_rule(r))
-    elif tag == _SB_TAG_PORT_STATUS:
-        msg = PortStatus(dpid=r.u64(), port=r.u16(), up=bool(r.u8()))
-    else:
-        raise BadTagError(f"unknown southbound tag {tag}")
-    if r.remaining:
-        raise LengthMismatchError(f"{r.remaining} unread payload bytes")
-    return msg
+    """Inverse of encode_sb; rejects malformed input with distinct errors."""
+    return _decode(data, SB_MAGIC, _SB_DECODERS, "southbound")

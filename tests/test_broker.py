@@ -15,6 +15,21 @@ from flowplane.broker import (
     OffsetOutOfRangeError,
     RecordTooLargeError,
 )
+from flowplane.core import Core, CoreConfig, DistMode
+from flowplane.stack import TOPO_KINDS
+from flowplane.wire import (
+    BROADCAST,
+    ETHERTYPE_ARP,
+    TOPIC_FOR_KIND,
+    Frame,
+    MacAddr,
+    PacketExceptionEvent,
+    TopologyDeviceEvent,
+    TopologyPortEvent,
+    decode_event,
+    encode_event,
+    event_kind,
+)
 
 
 def _in_process_and_over_socket():
@@ -189,6 +204,51 @@ class TestCommitResume:
         start = time.monotonic()
         assert consumer.get(timeout=0.03) is None
         assert time.monotonic() - start >= 0.03
+
+
+class TestCrossTopicOrder:
+    """A consumer over several topics gets events in the core's seq order."""
+
+    def _drain(self, consumer) -> list[int]:
+        seqs = []
+        while (data := consumer.get(timeout=0.05)) is not None:
+            seqs.append(decode_event(data).seq)
+        return seqs
+
+    def test_topology_consumer_sees_stamping_order(self):
+        for broker in _in_process_and_over_socket():
+            core = Core(CoreConfig(mode=DistMode.BROKER), broker=broker)
+            core.raise_event(TopologyDeviceEvent(dpid=1, up=True))
+            core.raise_event(TopologyPortEvent(dpid=1, port=1, up=True))
+            core.raise_event(
+                PacketExceptionEvent(
+                    dpid=1, in_port=1, frame=Frame(BROADCAST, MacAddr.host(1), ETHERTYPE_ARP)
+                )
+            )
+            topics = [TOPIC_FOR_KIND[k] for k in sorted(TOPO_KINDS)]
+            consumer = BrokerConsumer(broker, "topo", topics, poll_interval=0.001)
+            assert self._drain(consumer) == [1, 2, 3]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 64])
+    def test_mixed_kinds_merge_across_refills(self, batch_size):
+        # a full batch on one topic must not let a later seq from another overtake it
+        broker = Broker()
+        kinds = [
+            lambda seq: TopologyDeviceEvent(dpid=seq, up=True, seq=seq),
+            lambda seq: TopologyPortEvent(dpid=1, port=seq, up=True, seq=seq),
+            lambda seq: PacketExceptionEvent(
+                dpid=1, in_port=1, frame=Frame(BROADCAST, MacAddr.host(1), ETHERTYPE_ARP), seq=seq
+            ),
+        ]
+        pattern = [0, 0, 0, 0, 1, 2, 2, 0, 1, 1, 1, 1, 1, 2, 0, 2, 2, 2, 2, 0, 1]
+        for seq, k in enumerate(pattern, start=1):
+            event = kinds[k](seq)
+            broker.publish(TOPIC_FOR_KIND[event_kind(event)], encode_event(event))
+        topics = ["events.packet", "events.device", "events.port"]
+        consumer = BrokerConsumer(broker, "c", topics, poll_interval=0.001, batch_size=batch_size)
+        assert self._drain(consumer) == list(range(1, len(pattern) + 1))
+        # and every topic's committed offset reached the end of its log
+        assert sum(broker.committed("c", t) for t in topics) == len(pattern)
 
 
 class TestIntrospection:

@@ -14,7 +14,9 @@ from flowplane.wire import (
     ActionKind,
     ETHERTYPE_DATA,
     FlowRule,
+    Frame,
     Hello,
+    MacAddr,
     Match,
     PacketIn,
     PortStatus,
@@ -233,3 +235,45 @@ class TestHostFiltering:
         h2.deliver(Frame(MacAddr.host(9), MacAddr.host(8), ETHERTYPE_DATA, b"not-mine"))
         chain3.quiesce()
         assert not h2.inbox
+
+
+class TestQuiesce:
+    """quiesce() succeeds only once no actor has work queued or running."""
+
+    def _block(self, actor, attr: str) -> tuple[threading.Event, threading.Event]:
+        entered, release = threading.Event(), threading.Event()
+        handler = getattr(actor, attr)
+
+        def blocking(*args):
+            entered.set()
+            assert release.wait(timeout=5)
+            handler(*args)
+
+        setattr(actor, attr, blocking)
+        return entered, release
+
+    def test_host_busy_in_handler_is_not_idle(self, chain3):
+        chain3.start()
+        h2 = chain3.hosts["h2"]
+        entered, release = self._block(h2, "_receive")
+        h2.deliver(Frame(h2.mac, MacAddr.host(9), ETHERTYPE_DATA, b"slow"))
+        assert entered.wait(timeout=2)
+        try:
+            assert not chain3.quiesce(timeout=0.2)
+        finally:
+            release.set()
+        assert chain3.quiesce(timeout=2)
+        assert h2.inbox[-1].payload == b"slow"
+
+    def test_switch_busy_in_handler_is_not_idle(self, chain3):
+        chain3.start()
+        assert chain3.quiesce(timeout=2)
+        sw = chain3.switches[2]
+        entered, release = self._block(sw, "_dispatch")
+        sw.sweep()
+        assert entered.wait(timeout=2)
+        try:
+            assert not chain3.quiesce(timeout=0.2)
+        finally:
+            release.set()
+        assert chain3.quiesce(timeout=2)

@@ -234,6 +234,97 @@ class TestTopologyUnit:
         assert topo.stats.rounds == 1
 
 
+class TestMapChangesReachQueries:
+    """Every kind of map change shows in the next path query and link-port check.
+
+    Each check first fills whatever the service keeps between queries, then
+    applies one change, then compares against a snapshot built from scratch.
+    """
+
+    SPEC = build_fat_tree(4)
+
+    def _discovered(self, skip=()) -> TopologyService:
+        topo = make_topo(stale_rounds=3)
+        register(topo, *((s.dpid, range(1, s.n_ports + 1)) for s in self.SPEC.switches))
+        self._probe_all(topo, skip)
+        for h in self.SPEC.hosts[:-1]:
+            topo.learn_host(h.mac, h.dpid, h.port)
+        return topo
+
+    def _probe_all(self, topo, skip=()) -> None:
+        for sd, sp, dd, dp in sorted(self.SPEC.switch_link_set()):
+            if (sd, sp) not in skip:
+                topo.on_event(packet_event(dd, dp, probe_frame(sd, sp)))
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (UnknownHostError, NoPathError) as exc:
+            return type(exc)
+
+    def _check(self, topo: TopologyService) -> None:
+        fresh = TopologyGraph(
+            switches=frozenset(topo._switches), links=dict(topo._links), hosts=dict(topo._hosts)
+        )
+        macs = [h.mac for h in self.SPEC.hosts]
+        for s in self.SPEC.switches:
+            for mac in macs:
+                assert self._outcome(topo.path_from_switch, s.dpid, mac) == self._outcome(
+                    path_from_switch, fresh, s.dpid, mac
+                ), (s.dpid, mac)
+        for src, dst in itertools.permutations(macs, 2):
+            assert self._outcome(topo.shortest_path, src, dst) == self._outcome(
+                shortest_path, fresh, src, dst
+            )
+        link_ends = set(topo._links) | set(topo._links.values())
+        for s in self.SPEC.switches:
+            for port in range(1, s.n_ports + 1):
+                assert topo._is_link_port(s.dpid, port) == ((s.dpid, port) in link_ends)
+
+    def test_link_added(self):
+        missing = (5, 3)  # pod 0's first aggregation uplink to core 1
+        topo = self._discovered(skip={missing})
+        self._check(topo)
+        dd, dp = graph_from_spec(self.SPEC).links[missing]
+        assert not topo.on_event(packet_event(dd, dp, probe_frame(*missing))).empty
+        self._check(topo)
+
+    def test_stale_link_pruned(self):
+        victim = (5, 3)
+        topo = self._discovered()
+        self._check(topo)
+        before = topo.link_set()
+        while topo.link_set() == before:
+            topo.run_discovery_round()
+            self._probe_all(topo, skip={victim})
+        assert before - topo.link_set() == {(*victim, *graph_from_spec(self.SPEC).links[victim])}
+        self._check(topo)
+
+    def test_port_down(self):
+        topo = self._discovered()
+        self._check(topo)
+        assert not topo.on_event(TopologyPortEvent(dpid=7, port=3, up=False)).empty
+        self._check(topo)
+
+    def test_device_down(self):
+        topo = self._discovered()
+        self._check(topo)
+        assert not topo.on_event(TopologyDeviceEvent(dpid=5, up=False)).empty
+        self._check(topo)
+
+    def test_host_learned_then_moved(self):
+        topo = self._discovered()
+        self._check(topo)
+        last = self.SPEC.hosts[-1]
+        topo.learn_host(last.mac, last.dpid, last.port)
+        self._check(topo)
+        first = self.SPEC.hosts[0]
+        topo.learn_host(last.mac, first.dpid, first.port)
+        assert topo.host_location(last.mac).dpid == first.dpid
+        self._check(topo)
+
+
 class TestPaths:
     def test_same_switch_zero_link_path(self):
         spec = build_linear(1)

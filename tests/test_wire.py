@@ -29,15 +29,20 @@ from flowplane.wire import (
     MacAddr,
     Match,
     PacketExceptionEvent,
+    PacketIn,
     PacketOut,
+    PortStatus,
     RuleEventOp,
     TopologyDeviceEvent,
+    TopologyLinkEvent,
+    TopologyPortEvent,
     TruncatedError,
     decode_event,
     decode_sb,
     encode_event,
     encode_sb,
     ETHERTYPE_ARP,
+    ETHERTYPE_DATA,
 )
 
 
@@ -94,6 +99,118 @@ class TestLayoutOracles:
 
     def test_sb_magic_differs_from_event_magic(self):
         assert encode_sb(Hello(dpid=1, ports=(1,)))[:4] == b"SBMG"
+
+
+_GOLDEN_FRAME = Frame(
+    dst=MacAddr.host(2), src=MacAddr.host(1), ethertype=ETHERTYPE_DATA, payload=b"PING\x00\x01"
+)
+_GOLDEN_RULE = FlowRule(
+    rule_id=0x0102030405060708,
+    priority=300,
+    match=Match(in_port=3, eth_src=MacAddr.host(1), eth_dst=MacAddr.host(2), ethertype=ETHERTYPE_DATA),
+    actions=(
+        Action(ActionKind.OUTPUT, 4),
+        Action(ActionKind.FLOOD),
+        Action(ActionKind.CONTROLLER),
+        Action(ActionKind.DROP),
+    ),
+    hard_timeout_s=10,
+    packet_count=5,
+    byte_count=640,
+)
+
+# One vector per tag, fields separated by spaces; bytes.fromhex skips them.
+GOLDEN_EVENTS = [
+    (
+        PacketExceptionEvent(dpid=5, in_port=2, frame=_GOLDEN_FRAME, seq=1, ts_micros=1700000000000001),
+        "45564e54 01 01 00000032  0000000000000001 00060a24181e4001  0000000000000005 0002"
+        "  020000000002 020000000001 0800 00000006 50494e470001",
+    ),
+    (
+        TopologyLinkEvent(src_dpid=5, src_port=3, dst_dpid=6, dst_port=1, up=True, seq=2, ts_micros=3),
+        "45564e54 01 02 00000025  0000000000000002 0000000000000003"
+        "  0000000000000005 0003 0000000000000006 0001 01",
+    ),
+    (
+        TopologyDeviceEvent(dpid=7, up=False, seq=3, ts_micros=4),
+        "45564e54 01 03 00000019  0000000000000003 0000000000000004  0000000000000007 00",
+    ),
+    (
+        TopologyPortEvent(dpid=7, port=4, up=True, seq=4, ts_micros=5),
+        "45564e54 01 04 0000001b  0000000000000004 0000000000000005  0000000000000007 0004 01",
+    ),
+    (
+        FlowRuleEvent(op=RuleEventOp.REMOVED, dpid=8, rule=_GOLDEN_RULE, seq=5, ts_micros=6),
+        "45564e54 01 05 00000055  0000000000000005 0000000000000006  02 0000000000000008"
+        "  0102030405060708 012c  0f 0003 020000000001 020000000002 0800"
+        "  04 010004 02ffff 04fffe 030000  0000000a 0000000000000005 0000000000000280",
+    ),
+]
+
+GOLDEN_SB = [
+    (
+        Hello(dpid=10, ports=(1, 2, 3)),
+        "53424d47 01 01 00000010  000000000000000a 0003 0001 0002 0003",
+    ),
+    (
+        PacketIn(dpid=5, in_port=2, frame=_GOLDEN_FRAME),
+        "53424d47 01 02 00000022  0000000000000005 0002"
+        "  020000000002 020000000001 0800 00000006 50494e470001",
+    ),
+    (
+        PacketOut(
+            dpid=5,
+            out_port=FLOOD_PORT,
+            frame=Frame(BROADCAST, MacAddr.host(1), ETHERTYPE_ARP, b"HOST"),
+        ),
+        "53424d47 01 03 00000020  0000000000000005 ffff"
+        "  ffffffffffff 020000000001 0806 00000004 484f5354",
+    ),
+    (
+        FlowMod(
+            dpid=8,
+            op=FlowModOp.MODIFY,
+            rule=FlowRule(
+                rule_id=9,
+                priority=100,
+                match=Match(eth_dst=MacAddr.host(7)),
+                actions=(Action(ActionKind.OUTPUT, 2), Action(ActionKind.CONTROLLER)),
+            ),
+        ),
+        "53424d47 01 04 00000035  0000000000000008 03  0000000000000009 0064"
+        "  04 020000000007  02 010002 04fffe  00000000 0000000000000000 0000000000000000",
+    ),
+    (
+        PortStatus(dpid=7, port=4, up=False),
+        "53424d47 01 05 0000000b  0000000000000007 0004 00",
+    ),
+]
+
+
+def _golden_id(case) -> str:
+    return type(case[0]).__name__
+
+
+class TestGoldenVectors:
+    """Literal bytes of every event and southbound tag, pinned in both directions."""
+
+    @pytest.mark.parametrize("case", GOLDEN_EVENTS, ids=_golden_id)
+    def test_event_bytes(self, case):
+        event, hexstr = case
+        data = bytes.fromhex(hexstr)
+        assert encode_event(event) == data
+        assert decode_event(data) == event
+
+    @pytest.mark.parametrize("case", GOLDEN_SB, ids=_golden_id)
+    def test_sb_bytes(self, case):
+        msg, hexstr = case
+        data = bytes.fromhex(hexstr)
+        assert encode_sb(msg) == data
+        assert decode_sb(data) == msg
+
+    def test_every_tag_has_a_vector(self):
+        assert [bytes.fromhex(h)[5] for _, h in GOLDEN_EVENTS] == [1, 2, 3, 4, 5]
+        assert [bytes.fromhex(h)[5] for _, h in GOLDEN_SB] == [1, 2, 3, 4, 5]
 
 
 class TestRoundTrip:
