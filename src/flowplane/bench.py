@@ -52,10 +52,11 @@ class BenchError(Exception):
     pass
 
 
-# Measurement runs pin a short GIL switch interval: with many busy actor
-# threads the default 5 ms quantum lets flows convoy behind one another,
-# which adds variance without representing anything about the system under
-# test. Applied only for the duration of an experiment.
+# Measurement runs pin a short GIL switch interval: with the fabric thread,
+# subscriber loops and stream connections all busy, the default 5 ms quantum
+# lets flows convoy behind one another, which adds variance without
+# representing anything about the system under test. Applied only for the
+# duration of an experiment.
 MEASUREMENT_SWITCH_INTERVAL = 0.001
 
 

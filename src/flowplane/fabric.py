@@ -1,9 +1,12 @@
-"""Live data plane: threaded switch and host actors wired per a NetworkSpec.
+"""Live data plane: switch and host actors wired per a NetworkSpec.
 
-Each switch and host is an independent sequential actor fed by an ordered
-queue; there is no shared mutable state between actors. Links deliver frames
-either by direct enqueue (zero latency, the default) or through a single
-timer thread that preserves per-link FIFO order.
+Each switch and host is a sequential actor with its own mailbox, and one
+scheduler thread, owned by the Fabric, runs every queued item's handler to
+completion in arrival order. One thread draining one FIFO keeps each actor
+sequential and each link's frames in order without locking between actors,
+and the data plane runs on one thread whatever its size. Links deliver frames
+either by direct enqueue (zero latency, the default) or after a fixed delay
+kept on the scheduler's timer heap, which preserves per-link FIFO order.
 
 Hosts carry two traffic generators: an echo-based ping that measures
 round-trip times on the host's own monotonic clock, and a stop-and-wait
@@ -21,7 +24,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, replace
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Callable
 
 from .switch import (
@@ -63,73 +66,91 @@ DEFAULT_SEGMENT_BYTES = 1464
 DEFAULT_RETRANSMIT_S = 1.0
 
 
-class _DelayLine:
-    """Single timer thread delivering callbacks after a fixed delay, FIFO."""
+class _Scheduler:
+    """One thread running every actor's queued handlers, in arrival order.
+
+    Frames delayed by link latency wait on a heap that the same thread keeps;
+    it blocks on the queue only until the next of them is due.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._q: SimpleQueue = SimpleQueue()
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._tick = itertools.count()
-        self._cond = threading.Condition()
-        self._running = True
-        self._thread = threading.Thread(target=self._run, name="delayline", daemon=True)
-        self._thread.start()
+        self._thread: threading.Thread | None = None
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        with self._cond:
-            heapq.heappush(self._heap, (time.monotonic() + delay, next(self._tick), fn))
-            self._cond.notify()
+    def put(self, mailbox: _Mailbox, item) -> None:
+        self._q.put((mailbox, item))
 
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while self._running and (
-                    not self._heap or self._heap[0][0] > time.monotonic()
-                ):
-                    wait = None
-                    if self._heap:
-                        wait = max(0.0, self._heap[0][0] - time.monotonic())
-                    self._cond.wait(timeout=wait)
-                if not self._running:
-                    return
-                _, _, fn = heapq.heappop(self._heap)
-            try:
-                fn()
-            except Exception:
-                log.exception("delayed delivery failed")
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn`` on the scheduler thread after ``delay`` seconds.
+
+        Only handlers call this: the heap belongs to the scheduler thread.
+        """
+        heapq.heappush(self._timers, (time.monotonic() + delay, next(self._tick), fn))
+
+    def on_thread(self) -> bool:
+        return threading.current_thread() is self._thread
+
+    def start(self) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run, name="fabric", daemon=True)
+            self._thread.start()
 
     def stop(self) -> None:
-        with self._cond:
-            self._running = False
-            self._cond.notify()
-        self._thread.join(timeout=2)
+        if self._thread is not None:
+            self._q.put((None, None))
+            self._thread.join(timeout=2)
+            self._thread = None
+
+    def _run(self) -> None:
+        get, timers = self._q.get, self._timers
+        while True:
+            timeout = None
+            if timers:
+                now = time.monotonic()
+                while timers and timers[0][0] <= now:
+                    heapq.heappop(timers)[2]()
+                if timers:
+                    timeout = timers[0][0] - now
+            try:
+                mailbox, item = get(timeout=timeout)
+            except Empty:
+                continue
+            if mailbox is None:
+                return
+            try:
+                # looked up per item, so a handler replaced on the actor is used
+                getattr(mailbox.actor, mailbox.handler)(item)
+            except Exception:
+                log.exception("%s: failed to handle %.80r", mailbox.name, item)
+            finally:
+                mailbox.done()
 
 
 class _Mailbox:
-    """An actor's queue plus a count of items put and not yet fully handled.
+    """An actor's way into the scheduler, with a count of its items not yet handled.
 
     The count rises before an item is queued and falls only after its handler
     returned, so an actor that is idle cannot have work queued or running.
     """
 
-    def __init__(self) -> None:
-        self._q: SimpleQueue = SimpleQueue()
+    def __init__(self, scheduler: _Scheduler, actor, handler: str, name: str) -> None:
+        self.scheduler = scheduler
+        self.actor = actor
+        self.handler = handler
+        self.name = name
         self._lock = threading.Lock()
         self._in_flight = 0
 
     def put(self, item) -> None:
         with self._lock:
             self._in_flight += 1
-        self._q.put(item)
-
-    def get(self):
-        return self._q.get()
+        self.scheduler.put(self, item)
 
     def done(self) -> None:
         with self._lock:
             self._in_flight -= 1
-
-    def stop(self) -> None:
-        self._q.put(None)
 
     def idle(self) -> bool:
         return self._in_flight == 0
@@ -138,16 +159,13 @@ class _Mailbox:
 class SimSwitch:
     """Actor around a SwitchState: frames in, effects out, controller uplink."""
 
-    def __init__(self, state: SwitchState):
+    def __init__(self, state: SwitchState, scheduler: _Scheduler):
         self.state = state
         self.dpid = state.dpid
-        self._q = _Mailbox()
+        self._q = _Mailbox(scheduler, self, "_dispatch", f"switch {self.dpid}")
         self._port_sinks: dict[int, Callable[[Frame], None]] = {}
         self._uplink: Callable[[bytes], None] | None = None
         self._on_expired: Callable[[int, list[FlowRule]], None] | None = None
-        self._thread = threading.Thread(
-            target=self._run, name=f"switch-{self.dpid}", daemon=True
-        )
 
     # -- wiring (done before start) ----------------------------------------
 
@@ -159,7 +177,7 @@ class SimSwitch:
         uplink: Callable[[bytes], None],
         on_expired: Callable[[int, list[FlowRule]], None] | None = None,
     ) -> None:
-        """Attach the controller channel and say hello from the actor thread."""
+        """Attach the controller channel and say hello from the fabric thread."""
         self._uplink = uplink
         self._on_expired = on_expired
         self._q.put(("hello",))
@@ -182,36 +200,23 @@ class SimSwitch:
         self._q.put(("port", port, up))
 
     def request_rules(self, timeout: float = 2.0) -> list[FlowRule]:
-        """Synchronous table snapshot, ordered behind queued work."""
+        """Synchronous table snapshot, ordered behind queued work.
+
+        Raises RuntimeError on the fabric thread, which would wait on itself.
+        """
+        if self._q.scheduler.on_thread():
+            raise RuntimeError(
+                f"switch {self.dpid}: request_rules on the fabric thread would deadlock "
+                "waiting for that thread to answer"
+            )
         reply: SimpleQueue = SimpleQueue()
         self._q.put(("query", reply))
         return reply.get(timeout=timeout)
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._q.stop()
-        self._thread.join(timeout=2)
-
     def idle(self) -> bool:
         return self._q.idle()
 
-    # -- actor loop ---------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            item = self._q.get()
-            if item is None:
-                return
-            try:
-                self._dispatch(item)
-            except Exception:
-                log.exception("switch %d: failed to handle %r", self.dpid, item[0])
-            finally:
-                self._q.done()
+    # -- handler ------------------------------------------------------------
 
     def _dispatch(self, item: tuple) -> None:
         kind = item[0]
@@ -303,7 +308,13 @@ class _Waiter:
 class SimHost:
     """End host actor: inbox plus ping and stop-and-wait stream generators."""
 
-    def __init__(self, host_id: str, mac: MacAddr, inbox_limit: int | None = None):
+    def __init__(
+        self,
+        host_id: str,
+        mac: MacAddr,
+        scheduler: _Scheduler,
+        inbox_limit: int | None = None,
+    ):
         self.host_id = host_id
         self.mac = mac
         self.attachment: tuple[SimSwitch, int] | None = None
@@ -311,25 +322,15 @@ class SimHost:
         self._inbox_limit = inbox_limit
         self.frames_received = 0
         self.bytes_received = 0
-        self._q = _Mailbox()
+        self._q = _Mailbox(scheduler, self, "_receive", f"host {host_id}")
         self._lock = threading.Lock()
         self._ping_seq = itertools.count(1)
         self._ping_waiters: dict[int, _Waiter] = {}
         self._ack_waiters: dict[tuple[int, int], _Waiter] = {}
         self._stream_rx: dict[tuple[MacAddr, int], int] = {}
-        self._thread = threading.Thread(
-            target=self._run, name=f"host-{host_id}", daemon=True
-        )
 
     def attach(self, switch: SimSwitch, port: int) -> None:
         self.attachment = (switch, port)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._q.stop()
-        self._thread.join(timeout=2)
 
     def idle(self) -> bool:
         return self._q.idle()
@@ -456,18 +457,6 @@ class SimHost:
         """Entry point for frames arriving from the attachment port."""
         self._q.put(frame)
 
-    def _run(self) -> None:
-        while True:
-            frame = self._q.get()
-            if frame is None:
-                return
-            try:
-                self._receive(frame)
-            except Exception:
-                log.exception("host %s: bad frame", self.host_id)
-            finally:
-                self._q.done()
-
     def _receive(self, frame: Frame) -> None:
         if frame.ethertype == ETHERTYPE_DISCOVERY:
             return  # hosts ignore discovery probes
@@ -505,7 +494,7 @@ class SimHost:
 
 
 class Fabric:
-    """All the actors for one NetworkSpec, wired and ready to start."""
+    """All the actors for one NetworkSpec, wired and ready to start, and their scheduler."""
 
     def __init__(
         self,
@@ -516,15 +505,15 @@ class Fabric:
         spec.validate()
         self.spec = spec
         self.link_latency = link_latency
-        self._delay: _DelayLine | None = None
+        self._scheduler = _Scheduler()
         self.switches: dict[int, SimSwitch] = {
-            s.dpid: SimSwitch(SwitchState(s.dpid, range(1, s.n_ports + 1)))
+            s.dpid: SimSwitch(SwitchState(s.dpid, range(1, s.n_ports + 1)), self._scheduler)
             for s in spec.switches
         }
         self.hosts: dict[str, SimHost] = {}
         self.hosts_by_mac: dict[MacAddr, SimHost] = {}
         for h in spec.hosts:
-            host = SimHost(h.host_id, h.mac, inbox_limit=inbox_limit)
+            host = SimHost(h.host_id, h.mac, self._scheduler, inbox_limit=inbox_limit)
             host.attach(self.switches[h.dpid], h.port)
             self.hosts[h.host_id] = host
             self.hosts_by_mac[h.mac] = host
@@ -537,29 +526,15 @@ class Fabric:
     def _link_sink(self, peer: SimSwitch, peer_port: int) -> Callable[[Frame], None]:
         if self.link_latency <= 0:
             return lambda frame: peer.inject(peer_port, frame)
-        if self._delay is None:
-            self._delay = _DelayLine()
-        delay_line = self._delay
-        latency = self.link_latency
-
-        def sink(frame: Frame) -> None:
-            delay_line.schedule(latency, lambda: peer.inject(peer_port, frame))
-
-        return sink
+        call_later, latency = self._scheduler.call_later, self.link_latency
+        # switch handlers call link sinks, so this runs on the scheduler thread
+        return lambda frame: call_later(latency, lambda: peer.inject(peer_port, frame))
 
     def start(self) -> None:
-        for sw in self.switches.values():
-            sw.start()
-        for host in self.hosts.values():
-            host.start()
+        self._scheduler.start()
 
     def stop(self) -> None:
-        for sw in self.switches.values():
-            sw.stop()
-        for host in self.hosts.values():
-            host.stop()
-        if self._delay is not None:
-            self._delay.stop()
+        self._scheduler.stop()
 
     def __enter__(self) -> "Fabric":
         self.start()

@@ -201,10 +201,15 @@ class Stack:
         """Drive discovery and host announcements until the map is complete."""
         deadline = time.monotonic() + timeout
         expected_links = self.spec.switch_link_set()
-        expected_dpids = sorted(s.dpid for s in self.spec.switches)
-        while self.core.datapaths() != expected_dpids:
+        expected_dpids = frozenset(s.dpid for s in self.spec.switches)
+        # the service learns switches from events that may still be queued
+        # after the core registered them; a probe round before then misses some
+        while self.topo.graph().switches != expected_dpids:
             if time.monotonic() > deadline:
-                raise StackError("switches never finished attaching")
+                raise StackError(
+                    f"switches never finished attaching: the topology service knows "
+                    f"{len(self.topo.graph().switches)} of {len(expected_dpids)}"
+                )
             time.sleep(0.005)
         while self.topo.link_set() != expected_links:
             if time.monotonic() > deadline:

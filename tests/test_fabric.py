@@ -8,7 +8,7 @@ import time
 import pytest
 
 from flowplane.fabric import Fabric
-from flowplane.topology import build_linear
+from flowplane.topology import build_fat_tree, build_linear
 from flowplane.wire import (
     Action,
     ActionKind,
@@ -120,6 +120,22 @@ class TestDelivery:
         assert all(f.src == h1.mac for f in h2.inbox)
         with ctl.lock:
             assert not ctl.packet_ins
+
+    def test_request_rules_on_the_fabric_thread_raises(self, chain3):
+        sw = chain3.switches[1]
+        errors: list[RuntimeError] = []
+
+        def rx(data: bytes) -> None:  # runs in the switch's handler
+            try:
+                sw.request_rules()
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        sw.connect_controller(rx)
+        chain3.start()
+        assert chain3.quiesce(timeout=1)
+        assert len(errors) == 1 and "deadlock" in str(errors[0])
+        assert sw.request_rules() == []  # off the fabric thread it still answers
 
     def test_port_status_on_link_cut(self, chain3):
         ctl = StubController(chain3)
@@ -277,3 +293,16 @@ class TestQuiesce:
         finally:
             release.set()
         assert chain3.quiesce(timeout=2)
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.005], ids=["direct", "delayed"])
+def test_whole_data_plane_runs_on_one_thread(latency):
+    fabric = Fabric(build_fat_tree(8), link_latency=latency)  # 80 switches, 128 hosts
+    before = set(threading.enumerate())
+    fabric.start()
+    try:
+        started = [t for t in threading.enumerate() if t not in before]
+        assert len(started) == 1
+    finally:
+        fabric.stop()
+    assert not started[0].is_alive()

@@ -503,6 +503,22 @@ class TestEndToEnd:
                 assert matches == {stack.host("h1").mac, stack.host("h2").mac}
 
 
+@pytest.mark.parametrize("mode", [DistMode.P2P, DistMode.BROKER], ids=["p2p", "broker"])
+def test_warm_probes_only_once_every_switch_is_known(mode):
+    spec = build_fat_tree(4)
+    with Stack(spec, StackConfig(mode=mode, discovery_interval=0)) as stack:
+        seen = []
+        run_round = stack.topo.run_discovery_round
+
+        def recording_round() -> None:
+            seen.append(stack.topo.graph().switches)
+            run_round()
+
+        stack.topo.run_discovery_round = recording_round
+        stack.warm()
+        assert seen[0] == {s.dpid for s in spec.switches}
+
+
 class TestPacketEventAccounting:
     def test_five_hop_chain_generates_five_events_per_direction(self):
         spec = build_linear(5)
