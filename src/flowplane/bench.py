@@ -46,6 +46,10 @@ from .wire import (
 log = logging.getLogger(__name__)
 
 MODE_ORDER = (DistMode.INTERNAL, DistMode.P2P, DistMode.BROKER)
+# a response-time run is valid with at most this share of its pings lost, and
+# a mode-ordering gap counts only at this sign-test z or above
+MAX_LOST_FRACTION = 0.01
+SIGNIFICANCE_Z = 3.0
 
 
 class BenchError(Exception):
@@ -68,6 +72,19 @@ def _measurement_scheduling():
         yield
     finally:
         sys.setswitchinterval(previous)
+
+
+def _stack_config(cfg: RtConfig | TpConfig, mode: DistMode, **install) -> StackConfig:
+    """The stack an experiment measures; ``install`` sets its flow-install fields."""
+    return StackConfig(
+        mode=mode,
+        discovery_interval=cfg.discovery_interval,
+        broker_poll_interval=cfg.broker_poll_interval,
+        broker_batch=cfg.broker_batch,
+        link_latency=cfg.link_latency,
+        inbox_limit=256,
+        **install,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +222,6 @@ class RtConfig:
     broker_poll_interval: float = 0.001
     broker_batch: int = 64
     discovery_interval: float = 1.0
-    max_lost_fraction: float = 0.01
-    significance_z: float = 3.0
 
 
 @dataclass
@@ -258,18 +273,6 @@ class RtResult:
         return lines
 
 
-def _rt_stack_config(cfg: RtConfig, mode: DistMode) -> StackConfig:
-    return StackConfig(
-        mode=mode,
-        install_rules=False,
-        discovery_interval=cfg.discovery_interval,
-        broker_poll_interval=cfg.broker_poll_interval,
-        broker_batch=cfg.broker_batch,
-        link_latency=cfg.link_latency,
-        inbox_limit=256,
-    )
-
-
 def run_response_time(cfg: RtConfig, out_dir: str | Path | None = None) -> RtResult:
     """Ping experiment with empty flow tables across the configured modes."""
     if cfg.count < 1:
@@ -288,7 +291,7 @@ def run_response_time(cfg: RtConfig, out_dir: str | Path | None = None) -> RtRes
     per_mode: dict[DistMode, RtModeResult] = {}
     for mode in cfg.modes:
         spec = parse_topology(cfg.topology)
-        with _measurement_scheduling(), Stack(spec, _rt_stack_config(cfg, mode)) as stack:
+        with _measurement_scheduling(), Stack(spec, _stack_config(cfg, mode)) as stack:
             stack.warm()
             src = stack.host("h1")
             dst = stack.host("h2")
@@ -318,7 +321,7 @@ def run_response_time(cfg: RtConfig, out_dir: str | Path | None = None) -> RtRes
             rtts_us=rtts_us,
             summary=StatsSummary.from_samples(good, lost),
             packet_events=packet_events,
-            valid=lost <= cfg.max_lost_fraction * cfg.count,
+            valid=lost <= MAX_LOST_FRACTION * cfg.count,
         )
         per_mode[mode] = result
         if out is not None:
@@ -344,7 +347,7 @@ def run_response_time(cfg: RtConfig, out_dir: str | Path | None = None) -> RtRes
                 median_gap_us=per_mode[slower].summary.median
                 - per_mode[faster].summary.median,
                 sign=sign,
-                significant=sign.z >= cfg.significance_z,
+                significant=sign.z >= SIGNIFICANCE_Z,
             )
         )
     ordering_holds = bool(comparisons) and all(
@@ -482,18 +485,22 @@ class TpResult:
         return lines
 
 
-def run_throughput(cfg: TpConfig, out_dir: str | Path | None = None) -> TpResult:
-    """Goodput vs connection count with reactive flow installation."""
+def _check_tp_config(cfg: TpConfig) -> None:
     if cfg.duration <= 0:
         raise BenchError(f"duration must be positive, got {cfg.duration}")
     if not cfg.conns or any(c < 1 for c in cfg.conns):
         raise BenchError(f"bad connection counts {cfg.conns}")
-    if cfg.install not in ("direct", "rest"):
-        raise BenchError(f"unknown install channel {cfg.install!r}")
     if not isinstance(cfg.hard_timeout_s, int) or cfg.hard_timeout_s < 0:
         raise BenchError(
             f"hard timeout must be a whole number of seconds, got {cfg.hard_timeout_s!r}"
         )
+
+
+def run_throughput(cfg: TpConfig, out_dir: str | Path | None = None) -> TpResult:
+    """Goodput vs connection count with reactive flow installation."""
+    _check_tp_config(cfg)
+    if cfg.install not in ("direct", "rest"):
+        raise BenchError(f"unknown install channel {cfg.install!r}")
     notes = []
     if cfg.duration <= 2 * cfg.hard_timeout_s:
         message = (
@@ -510,16 +517,9 @@ def run_throughput(cfg: TpConfig, out_dir: str | Path | None = None) -> TpResult
     for mode in cfg.modes:
         for n_conns in cfg.conns:
             spec = parse_topology(cfg.topology)
-            config = StackConfig(
-                mode=mode,
-                install_rules=True,
-                install_channel=cfg.install,
+            config = _stack_config(
+                cfg, mode, install_rules=True, install_channel=cfg.install,
                 hard_timeout_s=cfg.hard_timeout_s,
-                discovery_interval=cfg.discovery_interval,
-                broker_poll_interval=cfg.broker_poll_interval,
-                broker_batch=cfg.broker_batch,
-                link_latency=cfg.link_latency,
-                inbox_limit=256,
             )
             with _measurement_scheduling(), Stack(spec, config) as stack:
                 stack.warm()
@@ -666,14 +666,7 @@ def run_install_comparison(
     churn. ``cfg.duration`` is the measured time per channel; one leading
     window is discarded as warm-up.
     """
-    if cfg.duration <= 0:
-        raise BenchError(f"duration must be positive, got {cfg.duration}")
-    if not cfg.conns or any(c < 1 for c in cfg.conns):
-        raise BenchError(f"bad connection counts {cfg.conns}")
-    if not isinstance(cfg.hard_timeout_s, int) or cfg.hard_timeout_s < 0:
-        raise BenchError(
-            f"hard timeout must be a whole number of seconds, got {cfg.hard_timeout_s!r}"
-        )
+    _check_tp_config(cfg)
     from .rest import RestFlowClient
 
     # three churn cycles per window keep the install cost visible above
@@ -684,17 +677,8 @@ def run_install_comparison(
     for mode in cfg.modes:
         for n_conns in cfg.conns:
             spec = parse_topology(cfg.topology)
-            config = StackConfig(
-                mode=mode,
-                install_rules=True,
-                install_channel="direct",
-                rest=True,
-                hard_timeout_s=cfg.hard_timeout_s,
-                discovery_interval=cfg.discovery_interval,
-                broker_poll_interval=cfg.broker_poll_interval,
-                broker_batch=cfg.broker_batch,
-                link_latency=cfg.link_latency,
-                inbox_limit=256,
+            config = _stack_config(
+                cfg, mode, install_rules=True, rest=True, hard_timeout_s=cfg.hard_timeout_s
             )
             with _measurement_scheduling(), Stack(spec, config) as stack:
                 stack.warm()

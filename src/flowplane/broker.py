@@ -36,8 +36,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
-from .framing import MAX_RECORD_BYTES, CallClient, FramedServer, pack_str, read_str
-from .wire import Reader, event_seq
+from .framing import MAX_RECORD_BYTES, CallClient, FramedServer, frame, pack_str, unpack_str
+from .wire import U8, U32, U64, Reader, event_seq, take
 
 DEFAULT_POLL_INTERVAL = 0.001
 
@@ -230,36 +230,36 @@ _REQ_COMMITTED = 4
 
 _ERRORS = {1: BrokerError, 2: OffsetOutOfRangeError, 3: RecordTooLargeError}
 
+_POLL = struct.Struct(">QIQ")  # from_offset, max_records, max_wait_micros
+
+
+def _unpack_record(data: bytes, pos: int) -> tuple[bytes, int]:
+    """A ``u32 len | record`` field, as ``frame`` packs it."""
+    (n,) = U32.unpack_from(data, pos)
+    return take(data, pos + U32.size, n)
+
 
 def _dispatch(broker: Broker, body: bytes) -> bytes:
     r = Reader(body)
-    tag = r.u8()
+    (tag,) = r.read(U8)
     if tag == _REQ_PUBLISH:
-        topic = read_str(r)
-        offset = broker.publish(topic, r.take(r.u32()))
-        return struct.pack(">Q", offset)
+        topic = r.read(unpack_str)
+        return U64.pack(broker.publish(topic, r.read(_unpack_record)))
     if tag == _REQ_POLL:
-        consumer = read_str(r)
-        topic = read_str(r)
-        from_offset, max_records, wait_micros = struct.unpack(">QIQ", r.take(20))
+        consumer, topic = r.read(unpack_str), r.read(unpack_str)
+        from_offset, max_records, wait_micros = r.read(_POLL)
         batch = broker.poll(consumer, topic, from_offset, max_records, wait_micros / 1e6)
-        parts = [struct.pack(">I", len(batch))]
-        for record in batch:
-            parts.append(struct.pack(">QI", record.offset, len(record.data)))
-            parts.append(record.data)
-        return b"".join(parts)
+        return U32.pack(len(batch)) + b"".join(U64.pack(x.offset) + frame(x.data) for x in batch)
     if tag == _REQ_COMMIT:
-        consumer = read_str(r)
-        topic = read_str(r)
-        broker.commit(consumer, topic, r.u64())
+        consumer, topic = r.read(unpack_str), r.read(unpack_str)
+        broker.commit(consumer, topic, *r.read(U64))
         return b""
     if tag == _REQ_COMMITTED:
-        consumer = read_str(r)
-        topic = read_str(r)
+        consumer, topic = r.read(unpack_str), r.read(unpack_str)
         offset = broker.committed(consumer, topic)
         if offset is None:
-            return struct.pack(">B", 0)
-        return struct.pack(">BQ", 1, offset)
+            return U8.pack(0)
+        return U8.pack(1) + U64.pack(offset)
     raise BrokerError(f"unknown request tag {tag}")
 
 
@@ -280,8 +280,8 @@ class BrokerClient(CallClient):
             raise RecordTooLargeError(
                 f"record of {len(data)} bytes exceeds {MAX_RECORD_BYTES}"
             )
-        body = bytes([_REQ_PUBLISH]) + pack_str(topic) + struct.pack(">I", len(data)) + data
-        return struct.unpack(">Q", self._call(body))[0]
+        reply = self._call(bytes([_REQ_PUBLISH]) + pack_str(topic) + frame(data))
+        return U64.unpack_from(reply)[0]
 
     def poll(
         self,
@@ -295,27 +295,17 @@ class BrokerClient(CallClient):
             bytes([_REQ_POLL])
             + pack_str(consumer_id)
             + pack_str(topic)
-            + struct.pack(">QIQ", from_offset, max_records, int(max_wait * 1e6))
+            + _POLL.pack(from_offset, max_records, int(max_wait * 1e6))
         )
         r = Reader(self._call(body))
-        records = []
-        for _ in range(r.u32()):
-            offset, n = struct.unpack(">QI", r.take(12))
-            records.append(Record(offset=offset, data=r.take(n)))
-        return records
+        (count,) = r.read(U32)
+        return [Record(offset=r.read(U64)[0], data=r.read(_unpack_record)) for _ in range(count)]
 
     def commit(self, consumer_id: str, topic: str, offset: int) -> None:
         self._call(
-            bytes([_REQ_COMMIT])
-            + pack_str(consumer_id)
-            + pack_str(topic)
-            + struct.pack(">Q", offset)
+            bytes([_REQ_COMMIT]) + pack_str(consumer_id) + pack_str(topic) + U64.pack(offset)
         )
 
     def committed(self, consumer_id: str, topic: str) -> int | None:
-        reply = self._call(
-            bytes([_REQ_COMMITTED]) + pack_str(consumer_id) + pack_str(topic)
-        )
-        if reply[0] == 0:
-            return None
-        return struct.unpack(">Q", reply[1:9])[0]
+        reply = self._call(bytes([_REQ_COMMITTED]) + pack_str(consumer_id) + pack_str(topic))
+        return U64.unpack_from(reply, U8.size)[0] if reply[0] else None

@@ -419,9 +419,6 @@ class Core:
         with self._registry_lock:
             return sorted(self._registry)
 
-    def switch_ports(self, dpid: int) -> tuple[int, ...]:
-        return self._datapath(dpid).ports
-
     def flows(self, dpid: int) -> list[FlowRule]:
         """Current table of a switch (live counters when a query channel exists)."""
         dp = self._datapath(dpid)

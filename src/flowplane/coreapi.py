@@ -31,6 +31,12 @@ from .core import (
 )
 from .framing import CallClient, FramedServer
 from .wire import (
+    FLOW_MOD_HEAD,
+    PORT_REF,
+    RULE_HEAD,
+    U8,
+    U32,
+    U64,
     FlowModOp,
     Frame,
     Reader,
@@ -53,24 +59,16 @@ _ERRORS = {
     4: UnknownRuleError,
 }
 
-
-def _encode_flow_mod(req: FlowModRequest) -> bytes:
-    return (
-        struct.pack(">QBQH", req.dpid, req.op, req.rule_id or 0, req.priority)
-        + pack_match(req.match)
-        + pack_actions(tuple(req.actions))
-        + struct.pack(">I", req.hard_timeout_s)
-    )
+_REPORT_LINK = struct.Struct(">QHQHB")  # src, src_port, dst, dst_port, up
 
 
 def _decode_flow_mod(r: Reader) -> FlowModRequest:
-    dpid = r.u64()
-    op = FlowModOp(r.u8())
-    rule_id = r.u64()
-    priority = r.u16()
+    dpid, op = r.read(FLOW_MOD_HEAD)
+    op = FlowModOp(op)
+    rule_id, priority = r.read(RULE_HEAD)
     match = r.read(unpack_match)
     actions = r.read(unpack_actions)
-    hard_timeout_s = r.u32()
+    (hard_timeout_s,) = r.read(U32)
     return FlowModRequest(
         dpid=dpid,
         op=op,
@@ -84,16 +82,15 @@ def _decode_flow_mod(r: Reader) -> FlowModRequest:
 
 def _dispatch(core: Core, body: bytes) -> bytes:
     r = Reader(body)
-    tag = r.u8()
+    (tag,) = r.read(U8)
     if tag == _REQ_PACKET_OUT:
-        dpid = r.u64()
-        out_port = r.u16()
+        dpid, out_port = r.read(PORT_REF)
         core.packet_out(dpid, out_port, r.read(unpack_frame))
         return b""
     if tag == _REQ_FLOW_MOD:
-        return struct.pack(">Q", core.flow_mod(_decode_flow_mod(r)))
+        return U64.pack(core.flow_mod(_decode_flow_mod(r)))
     if tag == _REQ_REPORT_LINK:
-        src, src_port, dst, dst_port, up = struct.unpack(">QHQHB", r.take(21))
+        src, src_port, dst, dst_port, up = r.read(_REPORT_LINK)
         core.report_link(src, src_port, dst, dst_port, bool(up))
         return b""
     raise CoreError(f"unknown request tag {tag}")
@@ -112,18 +109,23 @@ class RemoteCore(CallClient):
     errors = _ERRORS
 
     def packet_out(self, dpid: int, out_port: int, frame: Frame) -> None:
-        self._call(
-            bytes([_REQ_PACKET_OUT]) + struct.pack(">QH", dpid, out_port) + pack_frame(frame)
-        )
+        self._call(bytes([_REQ_PACKET_OUT]) + PORT_REF.pack(dpid, out_port) + pack_frame(frame))
 
     def flow_mod(self, req: FlowModRequest) -> int:
-        reply = self._call(bytes([_REQ_FLOW_MOD]) + _encode_flow_mod(req))
-        return struct.unpack(">Q", reply)[0]
+        body = (
+            bytes([_REQ_FLOW_MOD])
+            + FLOW_MOD_HEAD.pack(req.dpid, req.op)
+            + RULE_HEAD.pack(req.rule_id or 0, req.priority)
+            + pack_match(req.match)
+            + pack_actions(tuple(req.actions))
+            + U32.pack(req.hard_timeout_s)
+        )
+        return U64.unpack_from(self._call(body))[0]
 
     def report_link(
         self, src_dpid: int, src_port: int, dst_dpid: int, dst_port: int, up: bool
     ) -> None:
         self._call(
             bytes([_REQ_REPORT_LINK])
-            + struct.pack(">QHQHB", src_dpid, src_port, dst_dpid, dst_port, int(up))
+            + _REPORT_LINK.pack(src_dpid, src_port, dst_dpid, dst_port, int(up))
         )

@@ -61,6 +61,10 @@ PONG_PREFIX = b"PONG"
 SEG_PREFIX = b"SEG!"
 ACK_PREFIX = b"ACK!"
 ANNOUNCE_PREFIX = b"HOST"
+# after the prefix: a ping (echoed whole in its pong) carries seq and send
+# time in microseconds; a segment (echoed in its ack) carries conn_id and seq
+_PING_HEAD = struct.Struct(">IQ")
+_SEGMENT_HEAD = struct.Struct(">II")
 
 DEFAULT_SEGMENT_BYTES = 1464
 DEFAULT_RETRANSMIT_S = 1.0
@@ -369,7 +373,7 @@ class SimHost:
             start = time.monotonic()
             with self._lock:
                 self._ping_waiters[seq] = waiter
-            head = PING_PREFIX + struct.pack(">IQ", seq, time.time_ns() // 1000)
+            head = PING_PREFIX + _PING_HEAD.pack(seq, time.time_ns() // 1000)
             payload = head + b"\x00" * max(0, payload_size - len(head))
             self.send_frame(dst, ETHERTYPE_DATA, payload)
             ok = waiter.event.wait(timeout)
@@ -427,10 +431,9 @@ class SimHost:
         report: ConnReport,
     ) -> None:
         seq = 0
-        head_len = len(SEG_PREFIX) + 8
-        body = b"\x00" * max(0, segment_bytes - head_len)
+        body = b"\x00" * max(0, segment_bytes - len(SEG_PREFIX) - _SEGMENT_HEAD.size)
         while time.monotonic() < deadline:
-            payload = SEG_PREFIX + struct.pack(">II", report.conn_id, seq) + body
+            payload = SEG_PREFIX + _SEGMENT_HEAD.pack(report.conn_id, seq) + body
             waiter = _Waiter()
             key = (report.conn_id, seq)
             with self._lock:
@@ -469,21 +472,21 @@ class SimHost:
             self.send_frame(frame.src, ETHERTYPE_DATA, PONG_PREFIX + payload[4:])
             return
         if payload.startswith(PONG_PREFIX):
-            (seq,) = struct.unpack(">I", payload[4:8])
+            seq, _sent_us = _PING_HEAD.unpack_from(payload, len(PONG_PREFIX))
             with self._lock:
                 waiter = self._ping_waiters.get(seq)
             if waiter:
                 waiter.event.set()
             return
         if payload.startswith(SEG_PREFIX):
-            conn_id, seq = struct.unpack(">II", payload[4:12])
+            conn_id, seq = _SEGMENT_HEAD.unpack_from(payload, len(SEG_PREFIX))
             key = (frame.src, conn_id)
             if self._stream_rx.get(key, -1) + 1 == seq:
                 self._stream_rx[key] = seq
             self.send_frame(frame.src, ETHERTYPE_DATA, ACK_PREFIX + payload[4:12])
             return
         if payload.startswith(ACK_PREFIX):
-            conn_id, seq = struct.unpack(">II", payload[4:12])
+            conn_id, seq = _SEGMENT_HEAD.unpack_from(payload, len(ACK_PREFIX))
             with self._lock:
                 waiter = self._ack_waiters.get((conn_id, seq))
             if waiter:

@@ -27,7 +27,7 @@ import struct
 import threading
 from typing import Callable
 
-from .wire import Reader
+from .wire import U16, U32, Reader, take
 
 log = logging.getLogger(__name__)
 
@@ -38,22 +38,22 @@ MAX_REQUEST_BYTES = 1 + 2 + 0xFFFF + 4 + MAX_RECORD_BYTES
 STATUS_OK = 0
 STATUS_ERROR = 1
 
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
 _REPLY_HEAD = struct.Struct(">IB")
 
 
 def frame(body: bytes) -> bytes:
-    return _U32.pack(len(body)) + body
+    return U32.pack(len(body)) + body
 
 
 def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return _U16.pack(len(raw)) + raw
+    return U16.pack(len(raw)) + raw
 
 
-def read_str(r: Reader) -> str:
-    return r.take(r.u16()).decode("utf-8")
+def unpack_str(data: bytes, pos: int) -> tuple[str, int]:
+    (n,) = U16.unpack_from(data, pos)
+    raw, end = take(data, pos + U16.size, n)
+    return raw.decode("utf-8"), end
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -106,7 +106,7 @@ class _FramedHandler(socketserver.BaseRequestHandler):
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
-                (body_len,) = _U32.unpack(recv_exact(sock, 4))
+                (body_len,) = U32.unpack(recv_exact(sock, U32.size))
                 if body_len > MAX_REQUEST_BYTES:
                     log.warning("closing %s: request of %d bytes", self.client_address, body_len)
                     return
@@ -165,5 +165,5 @@ class CallClient:
             reply = recv_exact(self._sock, length - 1)
         if status != STATUS_OK:
             error = self.errors.get(status, self.errors[STATUS_ERROR])
-            raise error(read_str(Reader(reply)))
+            raise error(Reader(reply).read(unpack_str))
         return reply

@@ -21,7 +21,7 @@ from functools import partial
 
 from .framing import CallClient, FramedServer
 from .services import HostLocation, NoPathError, PathHop, TopologyService, UnknownHostError
-from .wire import MacAddr, Reader
+from .wire import PORT_REF, U8, U16, MacAddr, Reader
 
 _REQ_HOST_LOCATION = 1
 _REQ_PATH = 2
@@ -29,31 +29,31 @@ _REQ_LEARN_HOST = 3
 
 _ERRORS = {1: RuntimeError, 2: UnknownHostError, 3: NoPathError}
 
+_HOST = struct.Struct(">6s")  # mac
+_PATH = struct.Struct(">Q6s")  # start dpid, mac
+_LEARN_HOST = struct.Struct(">6sQH")  # mac, dpid, port
+
 
 def _dispatch(topo: TopologyService, body: bytes) -> bytes:
     r = Reader(body)
-    tag = r.u8()
+    (tag,) = r.read(U8)
     if tag == _REQ_HOST_LOCATION:
-        mac = MacAddr(r.take(6))
+        mac = MacAddr(*r.read(_HOST))
         loc = topo.host_location(mac)
         if loc is None:
             raise UnknownHostError(f"no location for {mac}")
-        return struct.pack(">QH", loc.dpid, loc.port)
+        return PORT_REF.pack(loc.dpid, loc.port)
     if tag == _REQ_PATH:
-        dpid = r.u64()
-        mac = MacAddr(r.take(6))
+        dpid, octets = r.read(_PATH)
+        mac = MacAddr(octets)
         try:
             hops = topo.path_from_switch(dpid, mac)
         except NoPathError:
             raise NoPathError(f"no path from switch {dpid} to {mac}") from None
-        parts = [struct.pack(">H", len(hops))]
-        parts.extend(struct.pack(">QH", h.dpid, h.out_port) for h in hops)
-        return b"".join(parts)
+        return U16.pack(len(hops)) + b"".join(PORT_REF.pack(h.dpid, h.out_port) for h in hops)
     if tag == _REQ_LEARN_HOST:
-        mac = MacAddr(r.take(6))
-        dpid = r.u64()
-        port = r.u16()
-        topo.learn_host(mac, dpid, port)
+        octets, dpid, port = r.read(_LEARN_HOST)
+        topo.learn_host(MacAddr(octets), dpid, port)
         return b""
     raise RuntimeError(f"unknown request tag {tag}")
 
@@ -72,16 +72,16 @@ class TopoQueryClient(CallClient):
 
     def host_location(self, mac: MacAddr) -> HostLocation | None:
         try:
-            reply = self._call(bytes([_REQ_HOST_LOCATION]) + mac.octets)
+            reply = self._call(bytes([_REQ_HOST_LOCATION]) + _HOST.pack(mac.octets))
         except UnknownHostError:
             return None
-        dpid, port = struct.unpack(">QH", reply)
+        dpid, port = PORT_REF.unpack_from(reply)
         return HostLocation(mac=mac, dpid=dpid, port=port)
 
     def path_from_switch(self, dpid: int, mac: MacAddr) -> list[PathHop]:
-        r = Reader(self._call(bytes([_REQ_PATH]) + struct.pack(">Q", dpid) + mac.octets))
-        count = r.u16()
-        return [PathHop(dpid=r.u64(), out_port=r.u16()) for _ in range(count)]
+        r = Reader(self._call(bytes([_REQ_PATH]) + _PATH.pack(dpid, mac.octets)))
+        (count,) = r.read(U16)
+        return [PathHop(*r.read(PORT_REF)) for _ in range(count)]
 
     def learn_host(self, mac: MacAddr, dpid: int, port: int) -> None:
-        self._call(bytes([_REQ_LEARN_HOST]) + mac.octets + struct.pack(">QH", dpid, port))
+        self._call(bytes([_REQ_LEARN_HOST]) + _LEARN_HOST.pack(mac.octets, dpid, port))

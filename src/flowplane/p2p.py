@@ -25,14 +25,13 @@ import itertools
 import logging
 import socket
 import socketserver
-import struct
 import threading
 import time
 from collections import deque
 from typing import Iterable
 
 from .framing import ServerThread, TcpServer, frame
-from .wire import Event, EventKind, encode_event, event_kind
+from .wire import U32, Event, EventKind, encode_event, event_kind
 
 log = logging.getLogger(__name__)
 
@@ -224,7 +223,7 @@ class P2pStreamClient:
         try:
             while True:
                 if len(self._buffer) >= 4:
-                    (n,) = struct.unpack(">I", self._buffer[:4])
+                    (n,) = U32.unpack_from(self._buffer)
                     if len(self._buffer) >= 4 + n:
                         data = self._buffer[4 : 4 + n]
                         self._buffer = self._buffer[4 + n :]

@@ -55,6 +55,9 @@ log = logging.getLogger(__name__)
 
 DISCOVERY_MAGIC = b"DSC1"
 DISCOVERY_SRC = MacAddr(bytes([0x02, 0xFF, 0, 0, 0, 0]))
+_PROBE = struct.Struct(">QHI")  # after the magic: origin dpid, origin port, round
+# how long a flooded broadcast is remembered, so copies looping back are dropped
+BROADCAST_DEDUP_TTL_S = 2.0
 
 
 class PathError(CoreError):
@@ -78,17 +81,15 @@ class DiscoveryPayload:
     round: int
 
     def encode(self) -> bytes:
-        return DISCOVERY_MAGIC + struct.pack(
-            ">QHI", self.origin_dpid, self.origin_port, self.round
-        )
+        return DISCOVERY_MAGIC + _PROBE.pack(self.origin_dpid, self.origin_port, self.round)
 
     @classmethod
     def parse(cls, payload: bytes) -> "DiscoveryPayload | None":
-        if len(payload) != len(DISCOVERY_MAGIC) + 14 or not payload.startswith(
+        if len(payload) != len(DISCOVERY_MAGIC) + _PROBE.size or not payload.startswith(
             DISCOVERY_MAGIC
         ):
             return None
-        dpid, port, rnd = struct.unpack(">QHI", payload[len(DISCOVERY_MAGIC) :])
+        dpid, port, rnd = _PROBE.unpack_from(payload, len(DISCOVERY_MAGIC))
         return cls(origin_dpid=dpid, origin_port=port, round=rnd)
 
     def frame(self) -> Frame:
@@ -495,9 +496,7 @@ class FwdConfig:
 
     install_rules: bool = False
     hard_timeout_s: int = 10
-    priority: int = 100
     install_channel: str = "direct"  # "direct" or "rest"
-    broadcast_dedup_ttl: float = 2.0
 
     def __post_init__(self) -> None:
         if self.install_channel not in ("direct", "rest"):
@@ -593,7 +592,7 @@ class ForwardingService:
             self._seen_broadcasts = {
                 k: v for k, v in self._seen_broadcasts.items() if v > now
             }
-        self._seen_broadcasts[key] = now + self.cfg.broadcast_dedup_ttl
+        self._seen_broadcasts[key] = now + BROADCAST_DEDUP_TTL_S
         self.core.packet_out(event.dpid, FLOOD_PORT, frame)
         self.stats.flooded += 1
         return FwdDecision(kind="flooded", out_port=FLOOD_PORT)
@@ -609,7 +608,6 @@ class ForwardingService:
             request = FlowModRequest(
                 dpid=hop.dpid,
                 op=FlowModOp.ADD,
-                priority=self.cfg.priority,
                 match=Match(eth_dst=dst),
                 actions=(Action(ActionKind.OUTPUT, hop.out_port),),
                 hard_timeout_s=timeout,

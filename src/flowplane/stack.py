@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .broker import Broker, BrokerConsumer, DEFAULT_POLL_INTERVAL
 from .core import Core, CoreConfig, DistMode
 from .fabric import Fabric
-from .p2p import DEFAULT_QUEUE_BOUND, P2pDistributor
+from .p2p import P2pDistributor
 from .services import ForwardingService, FwdConfig, ServiceStack, TopologyService
 from .topology import NetworkSpec
 from .wire import EventKind, TOPIC_FOR_KIND, decode_event
@@ -43,11 +43,9 @@ class StackConfig:
     install_rules: bool = False
     install_channel: str = "direct"
     hard_timeout_s: int = 10
-    priority: int = 100
     discovery_interval: float = 1.0
     broker_poll_interval: float = DEFAULT_POLL_INTERVAL
     broker_batch: int = 64
-    p2p_queue_bound: int = DEFAULT_QUEUE_BOUND
     link_latency: float = 0.0
     inbox_limit: int | None = None
     rest: bool = False
@@ -119,7 +117,7 @@ class Stack:
             self.broker = Broker()
             self.core = Core(core_config, broker=self.broker)
         elif cfg.mode is DistMode.P2P:
-            self.p2p = P2pDistributor(queue_bound=cfg.p2p_queue_bound)
+            self.p2p = P2pDistributor()
             self.core = Core(core_config, p2p=self.p2p)
         else:
             self.core = Core(core_config)
@@ -134,7 +132,6 @@ class Stack:
         fwd_config = FwdConfig(
             install_rules=cfg.install_rules,
             hard_timeout_s=cfg.hard_timeout_s,
-            priority=cfg.priority,
             install_channel=cfg.install_channel,
         )
         self.fwd = ForwardingService(self.core, self.topo, fwd_config, rest=rest_client)

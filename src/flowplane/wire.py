@@ -26,9 +26,11 @@ The rule layout deliberately omits the installation timestamp: it is local
 switch state, so decoded rules come back with ``installed_at == 0.0``.
 
 Encoding is a pure function of its argument and all types here are value
-objects, safe to share across threads. Decoding is table-driven: one decoder
-per tag, each built on precompiled ``struct.Struct`` layouts read with
-``unpack_from`` straight out of the message.
+objects, safe to share across threads. Both directions are table-driven: one
+encoder per message type and one decoder per tag. Encoding and decoding share
+one precompiled ``struct.Struct`` per layout, so each layout is spelled once;
+decoders read with ``unpack_from`` straight out of the message. The socket
+protocols (``framing`` and its users) build their bodies on the same layouts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
-from typing import Callable, TypeVar, Union
+from typing import Callable, Union
 
 EVENT_MAGIC = 0x45564E54  # "EVNT"
 SB_MAGIC = 0x53424D47  # "SBMG"
@@ -50,8 +52,6 @@ ETHERTYPE_DATA = 0x0800
 FLOOD_PORT = 0xFFFF
 CONTROLLER_PORT = 0xFFFE
 MAX_FRAME_PAYLOAD = 1500
-
-_T = TypeVar("_T")
 
 
 class WireError(ValueError):
@@ -347,22 +347,41 @@ Event = Union[
     FlowRuleEvent,
 ]
 
-_EVENT_TAG = {
-    PacketExceptionEvent: EventKind.PACKET,
-    TopologyLinkEvent: EventKind.LINK,
-    TopologyDeviceEvent: EventKind.DEVICE,
-    TopologyPortEvent: EventKind.PORT,
-    FlowRuleEvent: EventKind.FLOWRULE,
-}
-
 
 def event_kind(event: Event) -> EventKind:
-    return _EVENT_TAG[type(event)]
+    return _EVENT_ENCODERS[type(event)][0]
 
 
 # ---------------------------------------------------------------------------
-# Byte reader
+# Shared layouts
 # ---------------------------------------------------------------------------
+# Every fixed layout is one precompiled Struct, packed by its encoder and
+# read by its decoder. Unpacking a buffer too short for it raises
+# struct.error, which the callers (Reader.read, _decode) turn into
+# TruncatedError.
+
+U8 = struct.Struct(">B")
+U16 = struct.Struct(">H")
+U32 = struct.Struct(">I")
+U64 = struct.Struct(">Q")
+PORT_REF = struct.Struct(">QH")  # dpid, port: one switch port, as the socket protocols send it
+_HEADER = struct.Struct(">IBBI")  # magic, version, tag, payload_len
+_FRAME_HEAD = struct.Struct(">6s6sHI")
+_ACTION = struct.Struct(">BH")
+RULE_HEAD = struct.Struct(">QH")  # rule_id, priority
+_RULE_TAIL = struct.Struct(">IQQ")
+_MATCH_FIELDS = ((1, "H"), (2, "6s"), (4, "6s"), (8, "H"))  # presence bit, format
+_MATCH_LAYOUTS = tuple(  # indexed by presence byte: that byte, then the present fields
+    struct.Struct(">B" + "".join(fmt for bit, fmt in _MATCH_FIELDS if presence & bit))
+    for presence in range(16)
+)
+_ACTION_KINDS = {kind.value: kind for kind in ActionKind}
+_ACTION_PORT_SENTINEL = {
+    ActionKind.FLOOD: FLOOD_PORT,
+    ActionKind.CONTROLLER: CONTROLLER_PORT,
+    ActionKind.DROP: 0,
+}
+
 
 class Reader:
     """Cursor over immutable bytes; raises TruncatedError on underrun."""
@@ -373,121 +392,87 @@ class Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(
-                f"need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def read(self, unpack: Callable[[bytes, int], tuple[_T, int]]) -> _T:
-        """Run an ``unpack_*`` function at the cursor and step past what it read."""
+    def read(self, unpack: struct.Struct | Callable[[bytes, int], tuple[object, int]]):
+        """Read a fixed layout's fields, or run an ``unpack_*`` function, at the
+        cursor and step past what it read."""
         try:
-            value, self.pos = unpack(self.data, self.pos)
+            if isinstance(unpack, struct.Struct):
+                value = unpack.unpack_from(self.data, self.pos)
+                self.pos += unpack.size
+            else:
+                value, self.pos = unpack(self.data, self.pos)
         except struct.error as exc:
             raise TruncatedError(str(exc)) from None
         return value
+
+
+def take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
+    """The ``n`` bytes at ``pos`` and the offset after them; a variable-length
+    field needs this check, since a short slice raises nothing."""
+    end = pos + n
+    if end > len(data):
+        raise TruncatedError(f"need {n} bytes at offset {pos}, have {len(data) - pos}")
+    return data[pos:end], end
 
 
 # ---------------------------------------------------------------------------
 # Shared sub-layout packers
 # ---------------------------------------------------------------------------
 
-def pack_frame(frame: Frame) -> bytes:
+def _frame_head(frame: Frame) -> tuple[bytes, bytes, int, int]:
+    """The fields of a frame's fixed head, in wire order."""
     if len(frame.payload) > MAX_FRAME_PAYLOAD:
         raise EncodeError(
             f"frame payload {len(frame.payload)} exceeds {MAX_FRAME_PAYLOAD} bytes"
         )
-    return (
-        frame.dst.octets
-        + frame.src.octets
-        + struct.pack(">HI", frame.ethertype, len(frame.payload))
-        + frame.payload
-    )
+    return frame.dst.octets, frame.src.octets, frame.ethertype, len(frame.payload)
+
+
+def pack_frame(frame: Frame) -> bytes:
+    return _FRAME_HEAD.pack(*_frame_head(frame)) + frame.payload
 
 
 def pack_match(match: Match) -> bytes:
     presence = 0
-    parts = []
+    fields = []
     if match.in_port is not None:
         presence |= 1
-        parts.append(struct.pack(">H", match.in_port))
+        fields.append(match.in_port)
     if match.eth_src is not None:
         presence |= 2
-        parts.append(match.eth_src.octets)
+        fields.append(match.eth_src.octets)
     if match.eth_dst is not None:
         presence |= 4
-        parts.append(match.eth_dst.octets)
+        fields.append(match.eth_dst.octets)
     if match.ethertype is not None:
         presence |= 8
-        parts.append(struct.pack(">H", match.ethertype))
-    return bytes([presence]) + b"".join(parts)
-
-
-_ACTION_PORT_SENTINEL = {
-    ActionKind.FLOOD: FLOOD_PORT,
-    ActionKind.CONTROLLER: CONTROLLER_PORT,
-    ActionKind.DROP: 0,
-}
+        fields.append(match.ethertype)
+    return _MATCH_LAYOUTS[presence].pack(presence, *fields)
 
 
 def pack_actions(actions: tuple[Action, ...]) -> bytes:
     if len(actions) > 255:
         raise EncodeError("more than 255 actions")
-    parts = [bytes([len(actions)])]
+    parts = [U8.pack(len(actions))]
     for a in actions:
         port = a.port if a.kind is ActionKind.OUTPUT else _ACTION_PORT_SENTINEL[a.kind]
-        parts.append(struct.pack(">BH", a.kind, port))
+        parts.append(_ACTION.pack(a.kind, port))
     return b"".join(parts)
 
 
 def pack_rule(rule: FlowRule) -> bytes:
     return (
-        struct.pack(">QH", rule.rule_id, rule.priority)
+        RULE_HEAD.pack(rule.rule_id, rule.priority)
         + pack_match(rule.match)
         + pack_actions(rule.actions)
-        + struct.pack(">IQQ", rule.hard_timeout_s, rule.packet_count, rule.byte_count)
+        + _RULE_TAIL.pack(rule.hard_timeout_s, rule.packet_count, rule.byte_count)
     )
 
 
 # ---------------------------------------------------------------------------
 # Shared sub-layout unpackers
 # ---------------------------------------------------------------------------
-# Each takes the buffer and an offset and returns (value, end offset). A
-# buffer too short for a fixed-size field raises struct.error, which the
-# callers (Reader.read, _decode) turn into TruncatedError.
-
-_U8 = struct.Struct(">B")
-_U64 = struct.Struct(">Q")
-_FRAME_HEAD = struct.Struct(">6s6sHI")
-_ACTION = struct.Struct(">BH")
-_RULE_HEAD = struct.Struct(">QH")
-_RULE_TAIL = struct.Struct(">IQQ")
-_MATCH_FIELDS = ((1, "H"), (2, "6s"), (4, "6s"), (8, "H"))  # presence bit, format
-_MATCH_LAYOUTS = tuple(  # indexed by presence byte: the present fields, in wire order
-    struct.Struct(">" + "".join(fmt for bit, fmt in _MATCH_FIELDS if presence & bit))
-    for presence in range(16)
-)
-_ACTION_KINDS = {kind.value: kind for kind in ActionKind}
-
+# Each takes the buffer and an offset and returns (value, end offset).
 
 def _frame_body(
     data: bytes, pos: int, dst: bytes, src: bytes, ethertype: int, plen: int
@@ -495,11 +480,8 @@ def _frame_body(
     """Finish a frame whose fixed head is already unpacked; ``pos`` is its payload."""
     if plen > MAX_FRAME_PAYLOAD:
         raise LengthMismatchError(f"frame payload length {plen} out of range")
-    end = pos + plen
-    if end > len(data):
-        raise TruncatedError(f"need {plen} bytes at offset {pos}, have {len(data) - pos}")
-    frame = Frame(dst=MacAddr(dst), src=MacAddr(src), ethertype=ethertype, payload=data[pos:end])
-    return frame, end
+    payload, end = take(data, pos, plen)
+    return Frame(dst=MacAddr(dst), src=MacAddr(src), ethertype=ethertype, payload=payload), end
 
 
 def unpack_frame(data: bytes, pos: int) -> tuple[Frame, int]:
@@ -507,23 +489,24 @@ def unpack_frame(data: bytes, pos: int) -> tuple[Frame, int]:
 
 
 def unpack_match(data: bytes, pos: int) -> tuple[Match, int]:
-    (presence,) = _U8.unpack_from(data, pos)
+    (presence,) = U8.unpack_from(data, pos)
     if presence & ~0x0F:
         raise DecodeError(f"unknown match presence bits 0x{presence:02x}")
     layout = _MATCH_LAYOUTS[presence]
-    fields = iter(layout.unpack_from(data, pos + 1))
+    _, *values = layout.unpack_from(data, pos)
+    fields = iter(values)
     match = Match(
         in_port=next(fields) if presence & 1 else None,
         eth_src=MacAddr(next(fields)) if presence & 2 else None,
         eth_dst=MacAddr(next(fields)) if presence & 4 else None,
         ethertype=next(fields) if presence & 8 else None,
     )
-    return match, pos + 1 + layout.size
+    return match, pos + layout.size
 
 
 def unpack_actions(data: bytes, pos: int) -> tuple[tuple[Action, ...], int]:
-    (count,) = _U8.unpack_from(data, pos)
-    pos += 1
+    (count,) = U8.unpack_from(data, pos)
+    pos += U8.size
     actions = []
     for _ in range(count):
         kind_raw, port = _ACTION.unpack_from(data, pos)
@@ -536,8 +519,8 @@ def unpack_actions(data: bytes, pos: int) -> tuple[tuple[Action, ...], int]:
 
 
 def unpack_rule(data: bytes, pos: int) -> tuple[FlowRule, int]:
-    rule_id, priority = _RULE_HEAD.unpack_from(data, pos)
-    match, pos = unpack_match(data, pos + _RULE_HEAD.size)
+    rule_id, priority = RULE_HEAD.unpack_from(data, pos)
+    match, pos = unpack_match(data, pos + RULE_HEAD.size)
     actions, pos = unpack_actions(data, pos)
     hard_timeout_s, packet_count, byte_count = _RULE_TAIL.unpack_from(data, pos)
     rule = FlowRule(
@@ -553,43 +536,19 @@ def unpack_rule(data: bytes, pos: int) -> tuple[FlowRule, int]:
 
 
 # ---------------------------------------------------------------------------
-# Event codec
+# Message envelope
 # ---------------------------------------------------------------------------
 
-def _frame_message(magic: int, tag: int, payload: bytes) -> bytes:
-    return struct.pack(">IBBI", magic, WIRE_VERSION, tag, len(payload)) + payload
-
-
-def encode_event(event: Event) -> bytes:
-    """Serialize an event; equal events always produce equal bytes."""
-    kind = event_kind(event)
-    prefix = struct.pack(">QQ", event.seq, event.ts_micros)
+def _encode(msg, encoders: dict, magic: int, family: str) -> bytes:
+    entry = encoders.get(type(msg))
+    if entry is None:
+        raise EncodeError(f"not {family}: {msg!r}")
+    tag, encode = entry
     try:
-        if isinstance(event, PacketExceptionEvent):
-            body = struct.pack(">QH", event.dpid, event.in_port) + pack_frame(event.frame)
-        elif isinstance(event, TopologyLinkEvent):
-            body = struct.pack(
-                ">QHQHB",
-                event.src_dpid,
-                event.src_port,
-                event.dst_dpid,
-                event.dst_port,
-                int(event.up),
-            )
-        elif isinstance(event, TopologyDeviceEvent):
-            body = struct.pack(">QB", event.dpid, int(event.up))
-        elif isinstance(event, TopologyPortEvent):
-            body = struct.pack(">QHB", event.dpid, event.port, int(event.up))
-        elif isinstance(event, FlowRuleEvent):
-            body = struct.pack(">BQ", event.op, event.dpid) + pack_rule(event.rule)
-        else:
-            raise EncodeError(f"not an event: {event!r}")
+        payload = encode(msg)
     except struct.error as exc:
         raise EncodeError(str(exc)) from None
-    return _frame_message(EVENT_MAGIC, kind, prefix + body)
-
-
-_HEADER = struct.Struct(">IBBI")  # magic, version, tag, payload_len
+    return _HEADER.pack(magic, WIRE_VERSION, tag, len(payload)) + payload
 
 
 def _open_envelope(data: bytes, expect_magic: int) -> int:
@@ -628,14 +587,51 @@ def _decode(data: bytes, expect_magic: int, decoders: dict, family: str):
     return msg
 
 
-# Per-tag event decoders: each unpacks seq and ts_micros with the fixed
-# fields that follow them in one call.
+# ---------------------------------------------------------------------------
+# Event codec
+# ---------------------------------------------------------------------------
+# Each event payload starts with seq and ts_micros, packed and unpacked in
+# one call with the fixed fields that follow them.
+
 _PACKET_EVENT = struct.Struct(">QQQH6s6sHI")
 _LINK_EVENT = struct.Struct(">QQQHQHB")
 _DEVICE_EVENT = struct.Struct(">QQQB")
 _PORT_EVENT = struct.Struct(">QQQHB")
 _FLOWRULE_EVENT = struct.Struct(">QQB")  # the op is checked before the dpid is read
 _RULE_EVENT_OPS = {op.value: op for op in RuleEventOp}
+
+# type -> (tag, payload encoder)
+_EVENT_ENCODERS: dict[type, tuple[EventKind, Callable[..., bytes]]] = {
+    PacketExceptionEvent: (
+        EventKind.PACKET,
+        lambda e: _PACKET_EVENT.pack(e.seq, e.ts_micros, e.dpid, e.in_port, *_frame_head(e.frame))
+        + e.frame.payload,
+    ),
+    TopologyLinkEvent: (
+        EventKind.LINK,
+        lambda e: _LINK_EVENT.pack(
+            e.seq, e.ts_micros, e.src_dpid, e.src_port, e.dst_dpid, e.dst_port, int(e.up)
+        ),
+    ),
+    TopologyDeviceEvent: (
+        EventKind.DEVICE,
+        lambda e: _DEVICE_EVENT.pack(e.seq, e.ts_micros, e.dpid, int(e.up)),
+    ),
+    TopologyPortEvent: (
+        EventKind.PORT,
+        lambda e: _PORT_EVENT.pack(e.seq, e.ts_micros, e.dpid, e.port, int(e.up)),
+    ),
+    FlowRuleEvent: (
+        EventKind.FLOWRULE,
+        lambda e: _FLOWRULE_EVENT.pack(e.seq, e.ts_micros, e.op) + U64.pack(e.dpid)
+        + pack_rule(e.rule),
+    ),
+}
+
+
+def encode_event(event: Event) -> bytes:
+    """Serialize an event; equal events always produce equal bytes."""
+    return _encode(event, _EVENT_ENCODERS, EVENT_MAGIC, "an event")
 
 
 def _packet_event(data: bytes, pos: int) -> tuple[Event, int]:
@@ -676,8 +672,8 @@ def _flowrule_event(data: bytes, pos: int) -> tuple[Event, int]:
     if op is None:
         raise BadTagError(f"unknown rule-event op {op_raw}")
     pos += _FLOWRULE_EVENT.size
-    (dpid,) = _U64.unpack_from(data, pos)
-    rule, end = unpack_rule(data, pos + _U64.size)
+    (dpid,) = U64.unpack_from(data, pos)
+    rule, end = unpack_rule(data, pos + U64.size)
     return FlowRuleEvent(op=op, dpid=dpid, rule=rule, seq=seq, ts_micros=ts), end
 
 
@@ -697,7 +693,7 @@ def decode_event(data: bytes) -> Event:
 
 def event_seq(data: bytes) -> int:
     """The seq of an encoded event, read at its fixed offset without decoding."""
-    return _U64.unpack_from(data, _HEADER.size)[0]
+    return U64.unpack_from(data, _HEADER.size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -710,45 +706,46 @@ _SB_TAG_PACKET_OUT = 3
 _SB_TAG_FLOW_MOD = 4
 _SB_TAG_PORT_STATUS = 5
 
-
-def encode_sb(msg: SbMessage) -> bytes:
-    try:
-        if isinstance(msg, Hello):
-            tag = _SB_TAG_HELLO
-            body = struct.pack(">QH", msg.dpid, len(msg.ports)) + b"".join(
-                struct.pack(">H", p) for p in msg.ports
-            )
-        elif isinstance(msg, PacketIn):
-            tag = _SB_TAG_PACKET_IN
-            body = struct.pack(">QH", msg.dpid, msg.in_port) + pack_frame(msg.frame)
-        elif isinstance(msg, PacketOut):
-            tag = _SB_TAG_PACKET_OUT
-            body = struct.pack(">QH", msg.dpid, msg.out_port) + pack_frame(msg.frame)
-        elif isinstance(msg, FlowMod):
-            tag = _SB_TAG_FLOW_MOD
-            body = struct.pack(">QB", msg.dpid, msg.op) + pack_rule(msg.rule)
-        elif isinstance(msg, PortStatus):
-            tag = _SB_TAG_PORT_STATUS
-            body = struct.pack(">QHB", msg.dpid, msg.port, int(msg.up))
-        else:
-            raise EncodeError(f"not a southbound message: {msg!r}")
-    except struct.error as exc:
-        raise EncodeError(str(exc)) from None
-    return _frame_message(SB_MAGIC, tag, body)
-
-
-_HELLO = struct.Struct(">QH")
+_HELLO = struct.Struct(">QH")  # dpid, port count
 _PACKET_SB = struct.Struct(">QH6s6sHI")  # packet-in and packet-out: dpid, port, frame head
-_FLOW_MOD = struct.Struct(">QB")
+FLOW_MOD_HEAD = struct.Struct(">QB")  # dpid, op
 _PORT_STATUS = struct.Struct(">QHB")
 _FLOW_MOD_OPS = {op.value: op for op in FlowModOp}
+
+
+def _port_list(count: int) -> struct.Struct:
+    """Layout of a Hello's ports, the one field whose length varies by message."""
+    return struct.Struct(f">{count}H")
+
+
+# type -> (tag, payload encoder)
+_SB_ENCODERS: dict[type, tuple[int, Callable[..., bytes]]] = {
+    Hello: (
+        _SB_TAG_HELLO,
+        lambda m: _HELLO.pack(m.dpid, len(m.ports)) + _port_list(len(m.ports)).pack(*m.ports),
+    ),
+    PacketIn: (
+        _SB_TAG_PACKET_IN,
+        lambda m: _PACKET_SB.pack(m.dpid, m.in_port, *_frame_head(m.frame)) + m.frame.payload,
+    ),
+    PacketOut: (
+        _SB_TAG_PACKET_OUT,
+        lambda m: _PACKET_SB.pack(m.dpid, m.out_port, *_frame_head(m.frame)) + m.frame.payload,
+    ),
+    FlowMod: (_SB_TAG_FLOW_MOD, lambda m: FLOW_MOD_HEAD.pack(m.dpid, m.op) + pack_rule(m.rule)),
+    PortStatus: (_SB_TAG_PORT_STATUS, lambda m: _PORT_STATUS.pack(m.dpid, m.port, int(m.up))),
+}
+
+
+def encode_sb(msg: SbMessage) -> bytes:
+    return _encode(msg, _SB_ENCODERS, SB_MAGIC, "a southbound message")
 
 
 def _hello(data: bytes, pos: int) -> tuple[SbMessage, int]:
     dpid, count = _HELLO.unpack_from(data, pos)
     pos += _HELLO.size
-    ports = struct.unpack_from(f">{count}H", data, pos)
-    return Hello(dpid=dpid, ports=ports), pos + 2 * count
+    ports = _port_list(count)
+    return Hello(dpid=dpid, ports=ports.unpack_from(data, pos)), pos + ports.size
 
 
 def _packet_sb(cls, data: bytes, pos: int) -> tuple[SbMessage, int]:
@@ -758,11 +755,11 @@ def _packet_sb(cls, data: bytes, pos: int) -> tuple[SbMessage, int]:
 
 
 def _flow_mod(data: bytes, pos: int) -> tuple[SbMessage, int]:
-    dpid, op_raw = _FLOW_MOD.unpack_from(data, pos)
+    dpid, op_raw = FLOW_MOD_HEAD.unpack_from(data, pos)
     op = _FLOW_MOD_OPS.get(op_raw)
     if op is None:
         raise BadTagError(f"unknown flow-mod op {op_raw}")
-    rule, end = unpack_rule(data, pos + _FLOW_MOD.size)
+    rule, end = unpack_rule(data, pos + FLOW_MOD_HEAD.size)
     return FlowMod(dpid=dpid, op=op, rule=rule), end
 
 

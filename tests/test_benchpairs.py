@@ -105,3 +105,40 @@ def test_directions_cover_every_benchmark_metric():
     directions = benchpairs.metric_directions(ROOT / "BENCHMARK.json")
     assert directions["rtt_p50_ms.internal"] == "lower"
     assert directions["broker.poll_hit_ratio.broker"] == "higher"
+
+
+@pytest.mark.parametrize(
+    "parent_rtts,change_rtts,expected",
+    [
+        # medians 1.0 -> 1.2: worse by 20 %, inside the 0.25 bound
+        ([0.98, 0.99, 1.0, 1.01, 1.02], [1.18, 1.19, 1.2, 1.21, 1.22], "ok"),
+        # medians 1.0 -> 1.3: worse by more than the bound, however noisy the parent
+        ([0.98, 0.99, 1.0, 1.01, 1.02], [1.28, 1.29, 1.3, 1.31, 1.32], "worse"),
+        ([0.5, 0.6, 1.0, 1.5, 2.0], [1.3, 1.3, 1.3, 1.3, 1.3], "worse"),
+        # parent IQR 0.9 around a median of 1.0: wider than the bound
+        ([0.5, 0.6, 1.0, 1.5, 2.0], [0.6, 0.7, 1.1, 1.5, 1.9], "unresolved"),
+        # ... unless every change run beats every parent run
+        ([0.5, 0.6, 1.0, 1.5, 2.0], [0.1, 0.2, 0.3, 0.4, 0.45], "ok"),
+    ],
+)
+def test_no_regression_verdict_of_end_to_end_metrics(dirs, parent_rtts, change_rtts, expected):
+    parent, change = dirs
+    for i, (p, c) in enumerate(zip(parent_rtts, change_rtts)):
+        write_record(parent, i, p)
+        write_record(change, i, c)
+    bounds = {"rtt_p50_ms.internal": 0.25}
+    metrics = benchpairs.pair_records(parent, change, DIRECTIONS, bounds)["punt-trace0"]["metrics"]
+    assert metrics["rtt_p50_ms.internal"]["verdict"] == expected
+    assert "verdict" not in metrics["setup_s"]  # no bound given for it
+
+
+def test_verdict_follows_the_metric_direction():
+    parent, change = [0.8, 0.9, 1.0, 1.1, 1.2], [0.7, 0.7, 0.7, 0.7, 0.7]
+    assert benchpairs.verdict(parent, change, sign=1, bound=0.25) == "worse"
+    assert benchpairs.verdict(parent, change, sign=-1, bound=0.25) == "ok"
+
+
+def test_bounds_come_from_the_end_to_end_metrics():
+    bounds = benchpairs.metric_bounds(ROOT / "BENCHMARK.json")
+    assert bounds["rtt_p50_ms.broker"] == 0.25
+    assert "wire.decode_sb.calls.internal" not in bounds

@@ -447,6 +447,28 @@ class TestMalformedInput:
         time.sleep(0.05)  # let the handler threads of closed connections finish
         assert crashes == []
 
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_every_cut_request_body_is_refused(self, protocol, serve, crashes):
+        """Each request tag's golden body, cut at every shorter length, gets an
+        error status on one connection, which then still serves a good call."""
+        server, client_cls = serve(protocol)
+        bodies = {}
+        for v in PROTOCOLS[protocol][2]:
+            if v.call is not None:
+                bodies.setdefault(v.request[4], v.request[4:])
+        with socket.create_connection(server.address, timeout=5) as sock:
+            for tag, body in bodies.items():
+                for n in range(len(body)):
+                    sock.sendall(_frame(body[:n]))
+                    reply = _read_reply(sock)
+                    assert reply[4] != 0, f"tag {tag} cut to {n} bytes: {reply.hex(' ')}"
+        client = client_cls(server.address)
+        try:
+            assert WELL_FORMED[protocol](client)
+        finally:
+            client.close()
+        assert crashes == []
+
     def test_stream_server_survives(self, crashes):
         dist = P2pDistributor()
         server = P2pStreamServer(dist).start()

@@ -316,6 +316,25 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode_sb(PacketOut(dpid=1, out_port=0x10000, frame=_arp_frame(0)))
 
+    @pytest.mark.parametrize(
+        "encode,value",
+        [
+            (encode_event, "x"),
+            (encode_event, Hello(dpid=1, ports=(1,))),
+            (encode_sb, "x"),
+            (encode_sb, TopologyDeviceEvent(dpid=1, up=True)),
+        ],
+        ids=["event-str", "event-hello", "sb-str", "sb-event"],
+    )
+    def test_value_outside_the_message_family(self, encode, value):
+        with pytest.raises(EncodeError, match="^not a"):
+            encode(value)
+
+    @pytest.mark.parametrize("field", ["seq", "ts_micros"])
+    def test_out_of_range_event_header(self, field):
+        with pytest.raises(EncodeError):
+            encode_event(TopologyDeviceEvent(dpid=1, up=True, **{field: -1}))
+
 
 class TestDomainTypes:
     def test_mac_str_roundtrip(self):

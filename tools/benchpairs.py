@@ -10,8 +10,15 @@ change's wins, losses and ties, each side's median and quartiles, and the
 parent's interquartile range. ``gain`` applies the rule for claiming a gain:
 the change wins at least nine tenths of the pairs and its median is better
 than the parent's by more than the parent's interquartile range.
-``BENCH_<topic>.json`` is written at the root of the repository that holds
-this script, and metric directions come from its ``BENCHMARK.json``.
+
+Each end-to-end metric also gets a no-regression ``verdict`` against its
+``bound`` (a fraction of the parent's median): ``worse`` when the change's
+median is worse than the parent's by more than bound x parent median;
+otherwise ``unresolved`` when the parent's own spread (IQR / median) is
+wider than the bound, unless every change run beats every parent run; and
+otherwise ``ok``. ``BENCH_<topic>.json`` is written at the root of the
+repository that holds this script; metric directions and bounds come from
+its ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -41,6 +48,12 @@ def metric_directions(benchmark_json: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def metric_bounds(benchmark_json: Path) -> dict[str, float]:
+    """The end-to-end metrics' regression bounds, as fractions of the parent median."""
+    spec = json.loads(benchmark_json.read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
 def summary(values: list[float]) -> dict[str, float]:
     if len(values) == 1:
         q1 = q3 = values[0]
@@ -53,7 +66,19 @@ def metric_values(record: dict) -> dict[str, float]:
     return record["per_layer"] if record["trace"] else record["end_to_end"]
 
 
-def compare(name: str, pairs: list[dict], better: str) -> dict:
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """No-regression verdict of one end-to-end metric; ``sign`` is +1 when higher is better."""
+    p_sum = summary(parent)
+    allowed = bound * abs(p_sum["median"])
+    if sign * (statistics.median(change) - p_sum["median"]) < -allowed:
+        return "worse"
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p_sum["q3"] - p_sum["q1"] > allowed and not every_run_better:
+        return "unresolved"
+    return "ok"
+
+
+def compare(name: str, pairs: list[dict], better: str, bound: float | None = None) -> dict:
     parent = [p["parent"][name] for p in pairs]
     change = [p["change"][name] for p in pairs]
     sign = -1 if better == "lower" else 1
@@ -61,6 +86,9 @@ def compare(name: str, pairs: list[dict], better: str) -> dict:
     p_sum, c_sum = summary(parent), summary(change)
     parent_iqr = p_sum["q3"] - p_sum["q1"]
     wins = sum(d > 0 for d in deltas)
+    extra = {}
+    if bound is not None:
+        extra = {"bound": bound, "verdict": verdict(parent, change, sign, bound)}
     return {
         "better": better,
         "pairs": len(pairs),
@@ -72,10 +100,16 @@ def compare(name: str, pairs: list[dict], better: str) -> dict:
         "parent_iqr": parent_iqr,
         "gain": wins >= 0.9 * len(pairs)
         and sign * (c_sum["median"] - p_sum["median"]) > parent_iqr,
+        **extra,
     }
 
 
-def pair_records(parent_dir: Path, change_dir: Path, directions: dict[str, str]) -> dict:
+def pair_records(
+    parent_dir: Path,
+    change_dir: Path,
+    directions: dict[str, str],
+    bounds: dict[str, float] | None = None,
+) -> dict:
     parent, change = load_records(parent_dir), load_records(change_dir)
     groups: dict[str, dict] = {}
     for key in sorted(parent.keys() & change.keys()):
@@ -99,7 +133,8 @@ def pair_records(parent_dir: Path, change_dir: Path, directions: dict[str, str])
         pairs = group["pairs"]
         names = sorted(set.intersection(*(set(p["parent"]) & set(p["change"]) for p in pairs)))
         group["metrics"] = {
-            name: compare(name, pairs, directions.get(name, "lower")) for name in names
+            name: compare(name, pairs, directions.get(name, "lower"), (bounds or {}).get(name))
+            for name in names
         }
     return groups
 
@@ -114,6 +149,7 @@ def main(argv=None) -> int:
         args.parent / "perfbench" / "out",
         args.change / "perfbench" / "out",
         metric_directions(ROOT / "BENCHMARK.json"),
+        metric_bounds(ROOT / "BENCHMARK.json"),
     )
     if not groups:
         raise SystemExit("error: no run found in both checkouts")
@@ -125,7 +161,7 @@ def main(argv=None) -> int:
             print(
                 f"{group_name} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
                 f" ({m['wins']}/{m['pairs']} won, parent IQR {m['parent_iqr']:.3g}"
-                f"{', gain' if m['gain'] else ''})"
+                f"{', gain' if m['gain'] else ''}{', ' + m['verdict'] if 'verdict' in m else ''})"
             )
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
