@@ -199,6 +199,11 @@ class BrokerConsumer:
                 return None
             time.sleep(self.poll_interval)
 
+    def close(self) -> None:
+        """Close the broker's socket channel; an in-process broker has none."""
+        if isinstance(self.broker, CallClient):
+            self.broker.close()
+
     def _refill(self) -> bool:
         batches = []
         for t in self.topics:

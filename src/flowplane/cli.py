@@ -19,9 +19,18 @@ import logging
 import signal
 import sys
 import threading
+from contextlib import ExitStack
 
-from .bench import RtConfig, TpConfig, run_response_time, run_throughput
-from .core import Core, CoreConfig, DistMode
+from .bench import RtConfig, TpConfig, run_install_comparison, run_response_time, run_throughput
+from .core import CoreConfig, DistMode
+from .coreapi import CoreApiServer, RemoteCore
+from .fabric import Fabric
+from .interservice import TopoQueryClient, TopoQueryServer
+from .rest import RestFlowClient
+from .services import ForwardingService, FwdConfig, TopologyService
+from .stack import (
+    FWD_KINDS, TOPO_KINDS, _SubscriberLoop, attach_services, event_source, serve_events, start_core,
+)
 from .topology import parse_topology
 
 
@@ -114,8 +123,6 @@ def bench_main(argv: list[str] | None = None) -> int:
             broker_batch=args.broker_batch,
         )
         if args.install == "both":
-            from .bench import run_install_comparison
-
             result = run_install_comparison(config, out_dir=args.out)
         else:
             result = run_throughput(config, out_dir=args.out)
@@ -123,6 +130,15 @@ def bench_main(argv: list[str] | None = None) -> int:
     for line in result.summary_lines():
         print(line)
     return 0 if result.valid else 2
+
+
+def _stop_on_signal() -> threading.Event:
+    """An event set by SIGINT or SIGTERM; installed before anything starts,
+    so a signal during start-up still ends in the teardown."""
+    stop = threading.Event()
+    signal.signal(signal.SIGINT, lambda *a: stop.set())
+    signal.signal(signal.SIGTERM, lambda *a: stop.set())
+    return stop
 
 
 def core_main(argv: list[str] | None = None) -> int:
@@ -142,51 +158,31 @@ def core_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
-    from .broker import Broker, BrokerServer
-    from .coreapi import CoreApiServer
-    from .fabric import Fabric
-    from .p2p import P2pDistributor, P2pStreamServer
-    from .services import ForwardingService, FwdConfig, ServiceStack, TopologyService
-
     spec = parse_topology(args.topology)
-    fabric = Fabric(spec)
-    servers = []
-    if args.mode is DistMode.BROKER:
-        broker = Broker()
-        core = Core(CoreConfig(mode=args.mode, rest_listen=(args.host, args.rest_port)),
-                    broker=broker)
-        servers.append(BrokerServer(broker, args.host, args.events_port).start())
-    elif args.mode is DistMode.P2P:
-        dist = P2pDistributor()
-        core = Core(CoreConfig(mode=args.mode, rest_listen=(args.host, args.rest_port)),
-                    p2p=dist)
-        servers.append(P2pStreamServer(dist, args.host, args.events_port).start())
-    else:
-        core = Core(CoreConfig(mode=args.mode, rest_listen=(args.host, args.rest_port)))
-    core.start()
-    if args.mode is DistMode.INTERNAL:
-        topo = TopologyService(core)
-        fwd = ForwardingService(core, topo, FwdConfig())
-        core.set_internal_app(ServiceStack(topo, fwd))
-        topo.start()
-    servers.append(CoreApiServer(core, args.host, args.api_port).start())
-    core.adopt(fabric)
-    fabric.start()
+    stop = _stop_on_signal()
+    with ExitStack() as teardown:
+        fabric = Fabric(spec)
+        teardown.callback(fabric.stop)
+        core_config = CoreConfig(mode=args.mode, rest_listen=(args.host, args.rest_port))
+        core, backend = start_core(core_config, teardown)
+        events = serve_events(args.mode, backend, args.host, args.events_port, teardown)
+        if args.mode is DistMode.INTERNAL:
+            topo = TopologyService(core)
+            attach_services(core, backend, topo, ForwardingService(core, topo), teardown)
+            teardown.callback(topo.stop)
+            topo.start()
+        api = CoreApiServer(core, args.host, args.api_port).start()
+        teardown.callback(api.stop)
+        core.adopt(fabric)
+        fabric.start()
 
-    print(f"core up: topology={args.topology} mode={args.mode.value}")
-    print(f"  rest   http://{args.host}:{args.rest_port}")
-    print(f"  api    {args.host}:{args.api_port}")
-    if args.mode is not DistMode.INTERNAL:
-        print(f"  events {args.host}:{args.events_port}")
-    print(spec.dump())
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *a: stop.set())
-    signal.signal(signal.SIGTERM, lambda *a: stop.set())
-    stop.wait()
-    for server in servers:
-        server.stop()
-    core.stop()
-    fabric.stop()
+        print(f"core up: topology={args.topology} mode={args.mode.value}")
+        print("  rest   http://%s:%d" % core.rest_address)
+        print("  api    %s:%d" % api.address)
+        if events is not None:
+            print("  events %s:%d" % events.address)
+        print(spec.dump(), flush=True)
+        stop.wait()
     return 0
 
 
@@ -217,63 +213,39 @@ def service_main(argv: list[str] | None = None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    if args.service == "fwd" and args.topo is None:
+        parser.error("fwd needs --topo HOST:PORT (the topology query address)")
+    if args.install == "rest" and args.rest is None:
+        parser.error("--install rest needs --rest HOST:PORT")
 
-    from .broker import BrokerClient, BrokerConsumer
-    from .coreapi import RemoteCore
-    from .p2p import P2pStreamClient
-    from .services import ForwardingService, FwdConfig, TopologyService
-    from .stack import FWD_KINDS, TOPO_KINDS, _SubscriberLoop
-    from .wire import TOPIC_FOR_KIND
-
-    kinds = TOPO_KINDS if args.service == "topo" else FWD_KINDS
-    if args.mode is DistMode.BROKER:
-        source = BrokerConsumer(
-            BrokerClient(args.events),
-            f"{args.service}-service",
-            [TOPIC_FOR_KIND[k] for k in sorted(kinds)],
-            poll_interval=args.poll_ms / 1000,
-        )
-    else:
-        source = P2pStreamClient(args.events, kinds)
-    core = RemoteCore(args.core)
-    query_server = None
-
-    if args.service == "topo":
-        from .interservice import TopoQueryServer
-
-        service = TopologyService(core, discovery_interval=args.discovery_interval_s)
-        service.start()
-        query_server = TopoQueryServer(service, args.host, args.query_port).start()
-        print(f"topology queries on {query_server.address[0]}:{query_server.address[1]}")
-    else:
-        if args.topo is None:
-            parser.error("fwd needs --topo HOST:PORT (the topology query address)")
-        from .interservice import TopoQueryClient
-
-        rest_client = None
-        if args.install == "rest":
-            if args.rest is None:
-                parser.error("--install rest needs --rest HOST:PORT")
-            from .rest import RestFlowClient
-
-            rest_client = RestFlowClient(args.rest)
-        cfg = FwdConfig(
-            install_rules=args.install != "none",
-            hard_timeout_s=args.hard_timeout_s,
-            install_channel=args.install if args.install != "none" else "direct",
-        )
-        service = ForwardingService(core, TopoQueryClient(args.topo), cfg, rest=rest_client)
-
-    loop = _SubscriberLoop(source, [service], f"{args.service}-loop")
-    loop.start()
-    print(f"{args.service} service consuming {args.mode.value} events from {args.events}")
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *a: stop.set())
-    signal.signal(signal.SIGTERM, lambda *a: stop.set())
-    stop.wait()
-    loop.stop()
-    if query_server is not None:
-        query_server.stop()
+    stop = _stop_on_signal()
+    with ExitStack() as teardown:
+        core = RemoteCore(args.core)
+        teardown.callback(core.close)
+        if args.service == "topo":
+            service = TopologyService(core, discovery_interval=args.discovery_interval_s)
+            teardown.callback(service.stop)
+            service.start()
+            query_server = TopoQueryServer(service, args.host, args.query_port).start()
+            teardown.callback(query_server.stop)
+            print("topology queries on %s:%d" % query_server.address)
+        else:
+            topo = TopoQueryClient(args.topo)
+            teardown.callback(topo.close)
+            cfg = FwdConfig(
+                install_rules=args.install != "none",
+                hard_timeout_s=args.hard_timeout_s,
+                install_channel=args.install if args.install != "none" else "direct",
+            )
+            rest_client = RestFlowClient(args.rest) if args.install == "rest" else None
+            service = ForwardingService(core, topo, cfg, rest=rest_client)
+        kinds = TOPO_KINDS if args.service == "topo" else FWD_KINDS
+        source = event_source(args.mode, args.events, kinds, args.service, args.poll_ms / 1000)
+        teardown.callback(_SubscriberLoop(source, service, f"{args.service}-loop").stop)
+        host, port = args.events
+        print(f"{args.service} service consuming {args.mode.value} events from {host}:{port}",
+              flush=True)
+        stop.wait()
     return 0
 
 

@@ -27,7 +27,7 @@ import struct
 import threading
 from typing import Callable
 
-from .wire import U16, U32, Reader, take
+from .wire import U16, U32, DecodeError, Reader, take
 
 log = logging.getLogger(__name__)
 
@@ -115,7 +115,10 @@ class _FramedHandler(socketserver.BaseRequestHandler):
                     status, reply = STATUS_OK, dispatch(body)
                 except Exception as exc:
                     status = statuses.get(type(exc), STATUS_ERROR)
-                    if not isinstance(exc, tuple(statuses)):
+                    # a peer's malformed bytes are its fault: one line, no traceback
+                    if isinstance(exc, (DecodeError, UnicodeDecodeError)):
+                        log.warning("malformed request from %s: %s", self.client_address, exc)
+                    elif not isinstance(exc, tuple(statuses)):
                         log.exception("request failed")
                     reply = pack_str(str(exc))
                 sock.sendall(_REPLY_HEAD.pack(len(reply) + 1, status) + reply)

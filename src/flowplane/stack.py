@@ -1,15 +1,17 @@
-"""One-call assembly of a full control plane over a simulated network.
+"""One wiring for every deployment: the functions below assemble the core,
+its event backend and the topology/forwarding services, wired as the mode
+demands:
 
-A ``Stack`` builds the fabric, the core with the chosen distribution backend,
-and the topology/forwarding services wired the way that backend demands:
-
-* INTERNAL - services are the compiled-in app, invoked synchronously;
+* INTERNAL - the services are the core's compiled-in app, invoked synchronously;
 * P2P      - each service reads its own push subscription on its own thread;
 * BROKER   - each service polls its own consumer (poll interval = the knob).
 
-``warm()`` brings a freshly started stack to a known state: discovery has
-mapped every link and every host has announced itself, so measurements start
-from a converged control plane.
+``Stack`` runs it all in one process; ``flowplane-core`` and
+``flowplane-service`` (``cli``) run the core and each service apart, the events
+crossing a socket. What each function starts registers its stop on the caller's
+``ExitStack``: one teardown stops it all in reverse order, also after a start
+that failed part-way. ``converge()`` drives discovery and host announcements
+until the map is complete, so measurements start from a converged control plane.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .broker import Broker, BrokerConsumer, DEFAULT_POLL_INTERVAL
+from .broker import Broker, BrokerClient, BrokerConsumer, BrokerServer, DEFAULT_POLL_INTERVAL
 from .core import Core, CoreConfig, DistMode
 from .fabric import Fabric
-from .p2p import P2pDistributor
+from .framing import ServerThread
+from .p2p import P2pDistributor, P2pStreamClient, P2pStreamServer
+from .rest import RestFlowClient
 from .services import ForwardingService, FwdConfig, ServiceStack, TopologyService
 from .topology import NetworkSpec
 from .wire import EventKind, TOPIC_FOR_KIND, decode_event
@@ -52,21 +57,64 @@ class StackConfig:
     sweep_interval: float = 0.25
 
 
-class _SubscriberLoop:
-    """Thread decoding an event source and feeding one or more services."""
+# -- wiring ---------------------------------------------------------------------
 
-    def __init__(self, source, services, name: str):
+def start_core(
+    config: CoreConfig, teardown: ExitStack
+) -> tuple[Core, Broker | P2pDistributor | None]:
+    """A started core and the backend its mode publishes to (None for INTERNAL)."""
+    broker = Broker() if config.mode is DistMode.BROKER else None
+    p2p = P2pDistributor() if config.mode is DistMode.P2P else None
+    core = Core(config, broker=broker, p2p=p2p)
+    teardown.callback(core.stop)
+    return core.start(), broker if broker is not None else p2p
+
+
+def serve_events(
+    mode: DistMode, backend, host: str, port: int, teardown: ExitStack
+) -> ServerThread | None:
+    """The backend's socket server, for services in other processes; None for INTERNAL."""
+    if mode is DistMode.INTERNAL:
+        return None
+    server_type = BrokerServer if mode is DistMode.BROKER else P2pStreamServer
+    server = server_type(backend, host, port).start()
+    teardown.callback(server.stop)
+    return server
+
+
+def event_source(mode: DistMode, events, kinds: frozenset[EventKind], name: str,
+                 poll_interval: float = DEFAULT_POLL_INTERVAL, batch: int = 64):
+    """One service's feed of encoded events of ``kinds`` in BROKER or P2P mode.
+
+    ``events`` is the core's backend in this process, or the (host, port) of
+    its server. The result has ``get(timeout)`` and ``close()``.
+    """
+    remote = isinstance(events, tuple)
+    if mode is DistMode.BROKER:
+        return BrokerConsumer(
+            BrokerClient(events) if remote else events,
+            f"{name}-service",
+            [TOPIC_FOR_KIND[k] for k in sorted(kinds)],
+            poll_interval=poll_interval,
+            batch_size=batch,
+        )
+    return P2pStreamClient(events, kinds) if remote else events.subscribe(kinds)
+
+
+class _SubscriberLoop:
+    """Thread decoding an event source into one service; stop() closes the source."""
+
+    def __init__(self, source, service, name: str):
         self._source = source
-        self._services = services
+        self._service = service
         self._running = True
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-
-    def start(self) -> None:
         self._thread.start()
 
     def stop(self) -> None:
         self._running = False
         self._thread.join(timeout=2)
+        self._source.close()
 
     def _run(self) -> None:
         while self._running:
@@ -74,19 +122,62 @@ class _SubscriberLoop:
             if data is None:
                 continue
             try:
-                event = decode_event(data)
+                self._service.on_event(decode_event(data))
             except Exception:
-                log.exception("subscriber got undecodable event")
-                continue
-            for service in self._services:
-                try:
-                    service.on_event(event)
-                except Exception:
-                    log.exception("service failed on event %r", event)
+                log.exception("%s failed on an event", self._thread.name)
 
+
+def attach_services(core: Core, events, topo, fwd, teardown: ExitStack,
+                    poll_interval: float = DEFAULT_POLL_INTERVAL, batch: int = 64) -> None:
+    """Hand the core's events to both services: as its compiled-in app in
+    INTERNAL mode, otherwise on one subscriber loop per service, each over
+    its own source from ``events`` (see ``event_source``)."""
+    mode = core.config.mode
+    if mode is DistMode.INTERNAL:
+        core.set_internal_app(ServiceStack(topo, fwd))
+        return
+    for service, kinds, name in ((topo, TOPO_KINDS, "topo"), (fwd, FWD_KINDS, "fwd")):
+        source = event_source(mode, events, kinds, name, poll_interval, batch)
+        teardown.callback(_SubscriberLoop(source, service, f"{name}-loop").stop)
+
+
+def converge(spec: NetworkSpec, fabric: Fabric, topo, timeout: float = 15.0) -> None:
+    """Drive discovery and host announcements until the map is complete."""
+    deadline = time.monotonic() + timeout
+    expected_links = spec.switch_link_set()
+    expected_dpids = frozenset(s.dpid for s in spec.switches)
+    # the service learns switches from events that may still be queued
+    # after the core registered them; a probe round before then misses some
+    while topo.graph().switches != expected_dpids:
+        if time.monotonic() > deadline:
+            raise StackError(
+                f"switches never finished attaching: the topology service knows "
+                f"{len(topo.graph().switches)} of {len(expected_dpids)}"
+            )
+        time.sleep(0.005)
+    while topo.link_set() != expected_links:
+        if time.monotonic() > deadline:
+            missing = expected_links - topo.link_set()
+            phantom = topo.link_set() - expected_links
+            raise StackError(
+                f"discovery incomplete: missing={sorted(missing)} phantom={sorted(phantom)}"
+            )
+        topo.run_discovery_round()
+        time.sleep(0.03)
+    expected_macs = {h.mac for h in spec.hosts}
+    while set(topo.hosts()) != expected_macs:
+        if time.monotonic() > deadline:
+            missing = expected_macs - set(topo.hosts())
+            raise StackError(f"hosts never located: {sorted(str(m) for m in missing)}")
+        for mac in expected_macs - set(topo.hosts()):
+            fabric.hosts_by_mac[mac].announce()
+        time.sleep(0.03)
+
+
+# -- the in-process deployment ------------------------------------------------------
 
 class Stack:
-    """A running control plane + data plane, torn down with stop()."""
+    """A running control plane + data plane in one process, torn down with stop()."""
 
     def __init__(self, spec: NetworkSpec, config: StackConfig | None = None):
         self.spec = spec
@@ -97,94 +188,46 @@ class Stack:
         self.p2p: P2pDistributor | None = None
         self.topo: TopologyService | None = None
         self.fwd: ForwardingService | None = None
-        self._loops: list[_SubscriberLoop] = []
-        self._started = False
-
-    # -- lifecycle ----------------------------------------------------------
+        self._teardown = ExitStack()
 
     def start(self) -> "Stack":
         cfg = self.config
-        self.fabric = Fabric(
-            self.spec, link_latency=cfg.link_latency, inbox_limit=cfg.inbox_limit
-        )
-        rest_needed = cfg.rest or cfg.install_channel == "rest"
-        core_config = CoreConfig(
-            mode=cfg.mode,
-            rest_listen=("127.0.0.1", 0) if rest_needed else None,
-            sweep_interval=cfg.sweep_interval,
-        )
-        if cfg.mode is DistMode.BROKER:
-            self.broker = Broker()
-            self.core = Core(core_config, broker=self.broker)
-        elif cfg.mode is DistMode.P2P:
-            self.p2p = P2pDistributor()
-            self.core = Core(core_config, p2p=self.p2p)
-        else:
-            self.core = Core(core_config)
-        self.core.start()
-
-        self.topo = TopologyService(self.core, discovery_interval=cfg.discovery_interval)
-        rest_client = None
-        if cfg.install_channel == "rest":
-            from .rest import RestFlowClient
-
-            rest_client = RestFlowClient(self.core.rest_address)
-        fwd_config = FwdConfig(
-            install_rules=cfg.install_rules,
-            hard_timeout_s=cfg.hard_timeout_s,
-            install_channel=cfg.install_channel,
-        )
-        self.fwd = ForwardingService(self.core, self.topo, fwd_config, rest=rest_client)
-
-        if cfg.mode is DistMode.INTERNAL:
-            self.core.set_internal_app(ServiceStack(self.topo, self.fwd))
-        elif cfg.mode is DistMode.P2P:
-            topo_sub = self.p2p.subscribe(TOPO_KINDS)
-            fwd_sub = self.p2p.subscribe(FWD_KINDS)
-            self._loops = [
-                _SubscriberLoop(topo_sub, [self.topo], "topo-subscriber"),
-                _SubscriberLoop(fwd_sub, [self.fwd], "fwd-subscriber"),
-            ]
-        else:
-            topo_consumer = BrokerConsumer(
-                self.broker,
-                "topo-service",
-                [TOPIC_FOR_KIND[k] for k in sorted(TOPO_KINDS)],
-                poll_interval=cfg.broker_poll_interval,
-                batch_size=cfg.broker_batch,
+        with ExitStack() as teardown:
+            self.fabric = Fabric(
+                self.spec, link_latency=cfg.link_latency, inbox_limit=cfg.inbox_limit
             )
-            fwd_consumer = BrokerConsumer(
-                self.broker,
-                "fwd-service",
-                [TOPIC_FOR_KIND[k] for k in sorted(FWD_KINDS)],
-                poll_interval=cfg.broker_poll_interval,
-                batch_size=cfg.broker_batch,
+            teardown.callback(self.fabric.stop)
+            rest = cfg.install_channel == "rest"
+            core_config = CoreConfig(
+                mode=cfg.mode,
+                rest_listen=("127.0.0.1", 0) if cfg.rest or rest else None,
+                sweep_interval=cfg.sweep_interval,
             )
-            self._loops = [
-                _SubscriberLoop(topo_consumer, [self.topo], "topo-consumer"),
-                _SubscriberLoop(fwd_consumer, [self.fwd], "fwd-consumer"),
-            ]
-        for loop in self._loops:
-            loop.start()
-
-        # subscriptions exist before any switch says hello, so the p2p mode
-        # (which keeps no history) still sees the attach events
-        self.core.adopt(self.fabric)
-        self.fabric.start()
-        self.topo.start()
-        self._started = True
+            self.core, backend = start_core(core_config, teardown)
+            self.broker, self.p2p = self.core.backend_broker(), self.core.backend_p2p()
+            self.topo = TopologyService(self.core, discovery_interval=cfg.discovery_interval)
+            rest_client = RestFlowClient(self.core.rest_address) if rest else None
+            fwd_config = FwdConfig(
+                install_rules=cfg.install_rules,
+                hard_timeout_s=cfg.hard_timeout_s,
+                install_channel=cfg.install_channel,
+            )
+            self.fwd = ForwardingService(self.core, self.topo, fwd_config, rest=rest_client)
+            # subscriptions exist before any switch says hello, so the p2p mode
+            # (which keeps no history) still sees the attach events
+            attach_services(
+                self.core, backend, self.topo, self.fwd, teardown,
+                cfg.broker_poll_interval, cfg.broker_batch,
+            )
+            self.core.adopt(self.fabric)
+            self.fabric.start()
+            teardown.callback(self.topo.stop)
+            self.topo.start()
+            self._teardown = teardown.pop_all()
         return self
 
     def stop(self) -> None:
-        if not self._started:
-            return
-        self._started = False
-        self.topo.stop()
-        for loop in self._loops:
-            loop.stop()
-        self._loops = []
-        self.core.stop()
-        self.fabric.stop()
+        self._teardown.close()
 
     def __enter__(self) -> "Stack":
         return self.start()
@@ -192,39 +235,9 @@ class Stack:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- convergence ----------------------------------------------------------
-
     def warm(self, timeout: float = 15.0) -> None:
         """Drive discovery and host announcements until the map is complete."""
-        deadline = time.monotonic() + timeout
-        expected_links = self.spec.switch_link_set()
-        expected_dpids = frozenset(s.dpid for s in self.spec.switches)
-        # the service learns switches from events that may still be queued
-        # after the core registered them; a probe round before then misses some
-        while self.topo.graph().switches != expected_dpids:
-            if time.monotonic() > deadline:
-                raise StackError(
-                    f"switches never finished attaching: the topology service knows "
-                    f"{len(self.topo.graph().switches)} of {len(expected_dpids)}"
-                )
-            time.sleep(0.005)
-        while self.topo.link_set() != expected_links:
-            if time.monotonic() > deadline:
-                missing = expected_links - self.topo.link_set()
-                phantom = self.topo.link_set() - expected_links
-                raise StackError(
-                    f"discovery incomplete: missing={sorted(missing)} phantom={sorted(phantom)}"
-                )
-            self.topo.run_discovery_round()
-            time.sleep(0.03)
-        expected_macs = {h.mac for h in self.spec.hosts}
-        while set(self.topo.hosts()) != expected_macs:
-            if time.monotonic() > deadline:
-                missing = expected_macs - set(self.topo.hosts())
-                raise StackError(f"hosts never located: {sorted(str(m) for m in missing)}")
-            for mac in expected_macs - set(self.topo.hosts()):
-                self.fabric.hosts_by_mac[mac].announce()
-            time.sleep(0.03)
+        converge(self.spec, self.fabric, self.topo, timeout)
 
     # -- conveniences -----------------------------------------------------------
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 
 import pytest
 
-from flowplane.broker import Broker, BrokerClient, BrokerConsumer, BrokerServer
 from flowplane.core import (
     Core,
     CoreConfig,
@@ -19,9 +19,8 @@ from flowplane.core import (
 from flowplane.coreapi import CoreApiServer, RemoteCore
 from flowplane.fabric import Fabric
 from flowplane.interservice import TopoQueryClient, TopoQueryServer
-from flowplane.p2p import P2pDistributor, P2pStreamClient, P2pStreamServer
 from flowplane.services import ForwardingService, FwdConfig, TopologyService
-from flowplane.stack import _SubscriberLoop
+from flowplane.stack import TOPO_KINDS, attach_services, converge, serve_events, start_core
 from flowplane.topology import build_linear
 from flowplane.wire import (
     Action,
@@ -29,11 +28,17 @@ from flowplane.wire import (
     ETHERTYPE_DATA,
     EventKind,
     FlowModOp,
+    FlowRule,
+    FlowRuleEvent,
     Frame,
     MacAddr,
     Match,
-    TOPIC_FOR_KIND,
+    PacketExceptionEvent,
+    RuleEventOp,
+    TopologyDeviceEvent,
     TopologyLinkEvent,
+    TopologyPortEvent,
+    event_kind,
 )
 
 H1 = MacAddr.host(1)
@@ -118,8 +123,6 @@ class TestTopoQueryChannel:
                 pass
 
         topo = TopologyService(NullCore(), discovery_interval=0)
-        from flowplane.wire import TopologyDeviceEvent, TopologyPortEvent
-
         for dpid in (1, 2):
             topo.on_event(TopologyDeviceEvent(dpid=dpid, up=True))
             for port in (1, 2):
@@ -144,7 +147,6 @@ class TestTopoQueryChannel:
     def test_path_roundtrip_and_errors(self, query):
         topo, client = query
         from flowplane.services import DiscoveryPayload, UnknownHostError
-        from flowplane.wire import PacketExceptionEvent
 
         topo.on_event(
             PacketExceptionEvent(
@@ -173,128 +175,97 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
     return False
 
 
+# one event of every kind, raised five times over
+_EVENTS = (
+    TopologyDeviceEvent(dpid=1, up=True),
+    TopologyPortEvent(dpid=1, port=2, up=True),
+    PacketExceptionEvent(
+        dpid=1, in_port=2, frame=Frame(dst=H2, src=H1, ethertype=ETHERTYPE_DATA, payload=b"")
+    ),
+    TopologyLinkEvent(src_dpid=1, src_port=1, dst_dpid=2, dst_port=1, up=True),
+    FlowRuleEvent(
+        op=RuleEventOp.ADDED,
+        dpid=1,
+        rule=FlowRule(rule_id=1, priority=1, match=Match(), actions=(), hard_timeout_s=0),
+    ),
+) * 5
+
+
+class _Recorder:
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append((event_kind(event), event.seq))
+
+
 class TestStandaloneServices:
-    def test_broker_mode_services_over_sockets_end_to_end(self):
+    """The split deployment, wired by the functions in ``flowplane.stack``."""
+
+    @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])
+    def test_services_over_sockets_end_to_end(self, mode):
         """Topology + forwarding connected to the core purely via sockets."""
         spec = build_linear(3)
-        fabric = Fabric(spec)
-        broker = Broker()
-        core = Core(CoreConfig(mode=DistMode.BROKER), broker=broker)
-        broker_server = BrokerServer(broker).start()
-        api_server = CoreApiServer(core).start()
-
-        topo_events = BrokerClient(broker_server.address)
-        fwd_events = BrokerClient(broker_server.address)
-        topo_core = RemoteCore(api_server.address)
-        fwd_core = RemoteCore(api_server.address)
-
-        topo = TopologyService(topo_core, discovery_interval=0)
-        query_server = TopoQueryServer(topo).start()
-        topo_client = TopoQueryClient(query_server.address)
-        # the forwarding service reaches the topology service only via the
-        # inter-service query channel, like a real split deployment
-        fwd = ForwardingService(fwd_core, topo_client, FwdConfig(install_rules=False))
-        loops = [
-            _SubscriberLoop(
-                BrokerConsumer(
-                    topo_events,
-                    "topo",
-                    [
-                        TOPIC_FOR_KIND[EventKind.DEVICE],
-                        TOPIC_FOR_KIND[EventKind.PORT],
-                        TOPIC_FOR_KIND[EventKind.PACKET],
-                    ],
-                    poll_interval=0.001,
-                ),
-                [topo],
-                "topo-loop",
-            ),
-            _SubscriberLoop(
-                BrokerConsumer(
-                    fwd_events,
-                    "fwd",
-                    [TOPIC_FOR_KIND[EventKind.PACKET]],
-                    poll_interval=0.001,
-                ),
-                [fwd],
-                "fwd-loop",
-            ),
-        ]
-        for l in loops:
-            l.start()
-        core.adopt(fabric)
-        fabric.start()
-        try:
+        with ExitStack() as teardown:
+            fabric = Fabric(spec)
+            teardown.callback(fabric.stop)
+            core, backend = start_core(CoreConfig(mode=mode), teardown)
+            events = serve_events(mode, backend, "127.0.0.1", 0, teardown)
+            api_server = CoreApiServer(core).start()
+            teardown.callback(api_server.stop)
+            topo_core = RemoteCore(api_server.address)
+            teardown.callback(topo_core.close)
+            fwd_core = RemoteCore(api_server.address)
+            teardown.callback(fwd_core.close)
+            topo = TopologyService(topo_core, discovery_interval=0)
+            query_server = TopoQueryServer(topo).start()
+            teardown.callback(query_server.stop)
+            topo_client = TopoQueryClient(query_server.address)
+            teardown.callback(topo_client.close)
+            # the forwarding service reaches the topology service only via the
+            # inter-service query channel, like a real split deployment
+            fwd = ForwardingService(fwd_core, topo_client, FwdConfig(install_rules=False))
+            attach_services(core, events.address, topo, fwd, teardown, poll_interval=0.001)
+            if mode is DistMode.P2P:
+                # subscriptions are live before any events exist (p2p has no history)
+                assert wait_until(lambda: backend.subscription_count() == 2)
+            core.adopt(fabric)
+            fabric.start()
             assert wait_until(lambda: core.datapaths() == [1, 2, 3])
-            deadline = time.monotonic() + 10
-            while topo.link_set() != spec.switch_link_set():
-                assert time.monotonic() < deadline, "socket-mode discovery stalled"
-                topo.run_discovery_round()
-                time.sleep(0.05)
-            for host in fabric.hosts.values():
-                host.announce()
-            assert wait_until(
-                lambda: set(topo.hosts()) == {h.mac for h in spec.hosts}
-            )
+            converge(spec, fabric, topo, timeout=10)
+            assert topo.link_set() == spec.switch_link_set()
+            assert set(topo.hosts()) == {h.mac for h in spec.hosts}
             samples = fabric.hosts["h1"].ping(H2, count=3, interval=0.001)
             assert all(not s.lost for s in samples)
-        finally:
-            for l in loops:
-                l.stop()
-            for c in (topo_events, fwd_events, topo_core, fwd_core, topo_client):
-                c.close()
-            query_server.stop()
-            broker_server.stop()
-            api_server.stop()
-            fabric.stop()
 
-    def test_p2p_mode_services_over_sockets_end_to_end(self):
-        spec = build_linear(2)
-        fabric = Fabric(spec)
-        dist = P2pDistributor()
-        core = Core(CoreConfig(mode=DistMode.P2P), p2p=dist)
-        stream_server = P2pStreamServer(dist).start()
-        api_server = CoreApiServer(core).start()
-
-        topo_stream = P2pStreamClient(
-            stream_server.address, {EventKind.DEVICE, EventKind.PORT, EventKind.PACKET}
-        )
-        fwd_stream = P2pStreamClient(stream_server.address, {EventKind.PACKET})
-        topo_core = RemoteCore(api_server.address)
-        fwd_core = RemoteCore(api_server.address)
-        topo = TopologyService(topo_core, discovery_interval=0)
-        fwd = ForwardingService(fwd_core, topo, FwdConfig(install_rules=False))
-        loops = [
-            _SubscriberLoop(topo_stream, [topo], "topo-loop"),
-            _SubscriberLoop(fwd_stream, [fwd], "fwd-loop"),
-        ]
-        for l in loops:
-            l.start()
-        # subscriptions are live before any events exist (p2p has no history)
-        assert wait_until(lambda: dist.subscription_count() == 2)
-        core.adopt(fabric)
-        fabric.start()
-        try:
-            assert wait_until(lambda: core.datapaths() == [1, 2])
-            deadline = time.monotonic() + 10
-            while topo.link_set() != spec.switch_link_set():
-                assert time.monotonic() < deadline, "socket-mode discovery stalled"
-                topo.run_discovery_round()
-                time.sleep(0.05)
-            for host in fabric.hosts.values():
-                host.announce()
+    @pytest.mark.parametrize("remote", [False, True], ids=["inproc", "socket"])
+    @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])
+    def test_each_service_gets_its_kinds_in_seq_order(self, mode, remote):
+        with ExitStack() as teardown:
+            core, backend = start_core(CoreConfig(mode=mode), teardown)
+            events = backend
+            if remote:
+                events = serve_events(mode, backend, "127.0.0.1", 0, teardown).address
+            topo, fwd = _Recorder(), _Recorder()
+            # a small batch makes the broker consumer merge short refills across topics
+            attach_services(core, events, topo, fwd, teardown, poll_interval=0.001, batch=4)
+            if mode is DistMode.P2P:
+                assert wait_until(lambda: backend.subscription_count() == 2)
+            raised = [core.raise_event(e) for e in _EVENTS]
+            want_topo = [(event_kind(e), e.seq) for e in raised if event_kind(e) in TOPO_KINDS]
+            want_fwd = [(event_kind(e), e.seq) for e in raised if event_kind(e) is EventKind.PACKET]
             assert wait_until(
-                lambda: set(topo.hosts()) == {h.mac for h in spec.hosts}
+                lambda: len(topo.events) >= len(want_topo) and len(fwd.events) >= len(want_fwd)
             )
-            samples = fabric.hosts["h1"].ping(H2, count=2, interval=0.001)
-            assert all(not s.lost for s in samples)
-        finally:
-            for l in loops:
-                l.stop()
-            topo_stream.close()
-            fwd_stream.close()
-            topo_core.close()
-            fwd_core.close()
-            stream_server.stop()
-            api_server.stop()
-            fabric.stop()
+            time.sleep(0.05)  # room for anything that should not arrive
+            assert fwd.events == want_fwd
+            assert sorted(topo.events, key=lambda e: e[1]) == want_topo
+            if mode is DistMode.P2P:
+                assert topo.events == want_topo
+            else:
+                # each topic arrives in seq order; across topics a consumer
+                # polling while the core publishes can still hand out a later
+                # seq first (ROADMAP item 4), so only per-kind order is asserted
+                for kind in TOPO_KINDS:
+                    got = [e for e in topo.events if e[0] is kind]
+                    assert got == [e for e in want_topo if e[0] is kind]

@@ -9,6 +9,7 @@ length prefix.
 
 from __future__ import annotations
 
+import logging
 import socket
 import struct
 import threading
@@ -387,6 +388,15 @@ def _frame(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
+def _cut_bodies(protocol: str):
+    """Each request tag's golden body, cut at every shorter length."""
+    bodies = {}
+    for v in PROTOCOLS[protocol][2]:
+        if v.call is not None:
+            bodies.setdefault(v.request[4], v.request[4:])
+    return [body[:n] for body in bodies.values() for n in range(len(body))]
+
+
 OVERSIZED = struct.pack(">I", 0xFFFFFFF0)
 TRUNCATED = struct.pack(">I", 100) + bytes(10)
 UNKNOWN_TAG = _frame(b"\x09")
@@ -452,22 +462,30 @@ class TestMalformedInput:
         """Each request tag's golden body, cut at every shorter length, gets an
         error status on one connection, which then still serves a good call."""
         server, client_cls = serve(protocol)
-        bodies = {}
-        for v in PROTOCOLS[protocol][2]:
-            if v.call is not None:
-                bodies.setdefault(v.request[4], v.request[4:])
         with socket.create_connection(server.address, timeout=5) as sock:
-            for tag, body in bodies.items():
-                for n in range(len(body)):
-                    sock.sendall(_frame(body[:n]))
-                    reply = _read_reply(sock)
-                    assert reply[4] != 0, f"tag {tag} cut to {n} bytes: {reply.hex(' ')}"
+            for cut in _cut_bodies(protocol):
+                sock.sendall(_frame(cut))
+                reply = _read_reply(sock)
+                assert reply[4] != 0, f"{cut.hex(' ')} got {reply.hex(' ')}"
         client = client_cls(server.address)
         try:
             assert WELL_FORMED[protocol](client)
         finally:
             client.close()
         assert crashes == []
+
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_undecodable_request_logs_one_line(self, protocol, serve, caplog):
+        """A peer's malformed bytes cost one warning line each, not a traceback."""
+        server, _ = serve(protocol)
+        requests = [MALFORMED[protocol]] + [_frame(cut) for cut in _cut_bodies(protocol)]
+        caplog.set_level(logging.WARNING, logger="flowplane.framing")
+        with socket.create_connection(server.address, timeout=5) as sock:
+            for request in requests:
+                sock.sendall(request)
+                assert _read_reply(sock)[4] == 1  # the generic error status
+        records = [r for r in caplog.records if r.name == "flowplane.framing"]
+        assert [(r.levelno, r.exc_info) for r in records] == [(logging.WARNING, None)] * len(requests)
 
     def test_stream_server_survives(self, crashes):
         dist = P2pDistributor()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from collections import deque
 
@@ -501,6 +502,15 @@ class TestEndToEnd:
             for dpid in (1, 2, 3):
                 matches = {r.match.eth_dst for r in stack.core.flows(dpid)}
                 assert matches == {stack.host("h1").mac, stack.host("h2").mac}
+
+
+@pytest.mark.parametrize("rest", [False, True], ids=["no-rest", "rest"])
+def test_failed_start_stops_what_it_started(rest):
+    before = set(threading.enumerate())
+    stack = Stack(build_linear(2), StackConfig(install_channel="bogus", rest=rest))
+    with pytest.raises(ValueError, match="bogus"):
+        stack.start()
+    assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
 @pytest.mark.parametrize("mode", [DistMode.P2P, DistMode.BROKER], ids=["p2p", "broker"])
