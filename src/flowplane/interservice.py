@@ -1,16 +1,20 @@
 """Inter-service API: topology queries over a request/response socket.
 
-The forwarding service needs three things from the topology service: where a
-host sits, the path from a switch to a host, and a way to report host
-sightings. In one process those are direct method calls; across processes
-this protocol carries the same three calls over the shared framing (see
+The forwarding service makes one call to the topology service per punted
+packet: a unicast frame's source sighting and the path from its switch to
+its destination go in one learn-path request, a broadcast frame's sighting
+in one learn-host request. In one process those are direct method calls;
+across processes this protocol carries them over the shared framing (see
 ``framing``), so a standalone forwarding service keeps using the topology
-service instead of building its own map.
+service instead of building its own map. A learn-path request learns the
+source even when its reply is an error.
 
     tags:   1 host-location   mac 6B -> dpid u64 | port u16
             2 path            start_dpid u64 | mac 6B
                               -> u16 count | count x (dpid u64 | out_port u16)
             3 learn-host      mac 6B | dpid u64 | port u16
+            4 learn-path      start_dpid u64 | dst mac 6B | src mac 6B | in_port u16
+                              -> as path
     status: 1 RuntimeError, 2 UnknownHostError, 3 NoPathError
 """
 
@@ -26,12 +30,22 @@ from .wire import PORT_REF, U8, U16, MacAddr, Reader
 _REQ_HOST_LOCATION = 1
 _REQ_PATH = 2
 _REQ_LEARN_HOST = 3
+_REQ_LEARN_PATH = 4
 
 _ERRORS = {1: RuntimeError, 2: UnknownHostError, 3: NoPathError}
 
 _HOST = struct.Struct(">6s")  # mac
 _PATH = struct.Struct(">Q6s")  # start dpid, mac
 _LEARN_HOST = struct.Struct(">6sQH")  # mac, dpid, port
+_LEARN_PATH = struct.Struct(">Q6s6sH")  # start dpid, dst mac, src mac, in_port
+
+
+def _path_reply(topo: TopologyService, dpid: int, mac: MacAddr, learn) -> bytes:
+    try:
+        hops = topo.path_from_switch(dpid, mac, learn)
+    except NoPathError:
+        raise NoPathError(f"no path from switch {dpid} to {mac}") from None
+    return U16.pack(len(hops)) + b"".join(PORT_REF.pack(h.dpid, h.out_port) for h in hops)
 
 
 def _dispatch(topo: TopologyService, body: bytes) -> bytes:
@@ -45,12 +59,10 @@ def _dispatch(topo: TopologyService, body: bytes) -> bytes:
         return PORT_REF.pack(loc.dpid, loc.port)
     if tag == _REQ_PATH:
         dpid, octets = r.read(_PATH)
-        mac = MacAddr(octets)
-        try:
-            hops = topo.path_from_switch(dpid, mac)
-        except NoPathError:
-            raise NoPathError(f"no path from switch {dpid} to {mac}") from None
-        return U16.pack(len(hops)) + b"".join(PORT_REF.pack(h.dpid, h.out_port) for h in hops)
+        return _path_reply(topo, dpid, MacAddr(octets), None)
+    if tag == _REQ_LEARN_PATH:
+        dpid, octets, src, in_port = r.read(_LEARN_PATH)
+        return _path_reply(topo, dpid, MacAddr(octets), (MacAddr(src), in_port))
     if tag == _REQ_LEARN_HOST:
         octets, dpid, port = r.read(_LEARN_HOST)
         topo.learn_host(MacAddr(octets), dpid, port)
@@ -66,7 +78,7 @@ class TopoQueryServer(FramedServer):
 
 
 class TopoQueryClient(CallClient):
-    """Remote handle with the same three calls the forwarding service uses."""
+    """Remote handle on a topology service's query API."""
 
     errors = _ERRORS
 
@@ -78,8 +90,17 @@ class TopoQueryClient(CallClient):
         dpid, port = PORT_REF.unpack_from(reply)
         return HostLocation(mac=mac, dpid=dpid, port=port)
 
-    def path_from_switch(self, dpid: int, mac: MacAddr) -> list[PathHop]:
-        r = Reader(self._call(bytes([_REQ_PATH]) + _PATH.pack(dpid, mac.octets)))
+    def path_from_switch(
+        self, dpid: int, mac: MacAddr, learn: tuple[MacAddr, int] | None = None
+    ) -> list[PathHop]:
+        if learn is None:
+            request = bytes([_REQ_PATH]) + _PATH.pack(dpid, mac.octets)
+        else:
+            src, in_port = learn
+            request = bytes([_REQ_LEARN_PATH]) + _LEARN_PATH.pack(
+                dpid, mac.octets, src.octets, in_port
+            )
+        r = Reader(self._call(request))
         (count,) = r.read(U16)
         return [PathHop(*r.read(PORT_REF)) for _ in range(count)]
 

@@ -14,13 +14,17 @@ sighting). Links unseen for ``stale_rounds`` probe rounds are dropped, and
 every link change is reported to the core so other consumers can follow
 connectivity through link events.
 
-Forwarding service. Reacts to packet events: learns source host locations,
-floods frames for broadcast or unknown destinations (with a per-switch
-duplicate filter so multi-path topologies cannot storm), and otherwise sends
-the frame toward its destination hop by hop. With rule installation enabled
-it programs an eth_dst rule on every switch along the path first, through
-either the direct call channel or the REST endpoint. The identical object is
-the INTERNAL-mode app, so the only variable between modes is the event path.
+Forwarding service. Reacts to packet events with one topology call per
+punted frame: for a unicast destination, ``path_from_switch(..., learn=)``
+learns the frame's source location and returns the path in the same call
+(one round trip when the topology service is remote); a broadcast frame only
+reports its source through ``learn_host``. Frames for broadcast or unknown
+destinations are flooded (with a per-switch duplicate filter so multi-path
+topologies cannot storm); the rest are sent toward their destination hop by
+hop. With rule installation enabled it programs an eth_dst rule on every
+switch along the path first, through either the direct call channel or the
+REST endpoint. The identical object is the INTERNAL-mode app, so the only
+variable between modes is the event path.
 """
 
 from __future__ import annotations
@@ -408,11 +412,14 @@ class TopologyService:
     # -- host learning API (used by the forwarding service) --------------------
 
     def learn_host(self, mac: MacAddr, dpid: int, port: int) -> None:
-        delta = GraphDelta()
         with self._lock:
-            self._learn(mac, dpid, port, delta)
-            if not delta.empty:
-                self._map_changed()
+            self._learn_host(mac, dpid, port)
+
+    def _learn_host(self, mac: MacAddr, dpid: int, port: int) -> None:
+        delta = GraphDelta()
+        self._learn(mac, dpid, port, delta)
+        if not delta.empty:
+            self._map_changed()
 
     # -- discovery ----------------------------------------------------------------
 
@@ -451,13 +458,16 @@ class TopologyService:
     def graph(self) -> TopologyGraph:
         """The current snapshot; the same object until the map changes."""
         with self._lock:
-            if self._graph is None:
-                self._graph = TopologyGraph(
-                    switches=frozenset(self._switches),
-                    links=dict(self._links),
-                    hosts=dict(self._hosts),
-                )
-            return self._graph
+            return self._snapshot()
+
+    def _snapshot(self) -> TopologyGraph:
+        if self._graph is None:
+            self._graph = TopologyGraph(
+                switches=frozenset(self._switches),
+                links=dict(self._links),
+                hosts=dict(self._hosts),
+            )
+        return self._graph
 
     def link_set(self) -> frozenset[tuple[int, int, int, int]]:
         with self._lock:
@@ -476,16 +486,25 @@ class TopologyService:
     def shortest_path(self, src_mac: MacAddr, dst_mac: MacAddr) -> list[PathHop]:
         return shortest_path(self.graph(), src_mac, dst_mac)
 
-    def path_from_switch(self, dpid: int, dst_mac: MacAddr) -> list[PathHop]:
-        return path_from_switch(self.graph(), dpid, dst_mac)
+    def path_from_switch(
+        self, dpid: int, dst_mac: MacAddr, learn: tuple[MacAddr, int] | None = None
+    ) -> list[PathHop]:
+        """Path from ``dpid`` to ``dst_mac``; ``learn=(src_mac, in_port)`` first
+        applies ``learn_host(src_mac, dpid, in_port)`` under the same lock, and
+        the sighting is kept even when no path is found."""
+        with self._lock:
+            if learn is not None:
+                self._learn_host(learn[0], dpid, learn[1])
+            graph = self._snapshot()
+        return path_from_switch(graph, dpid, dst_mac)
 
 
 class TopologyQuery(Protocol):
     """What the forwarding service needs from a topology service, local or remote."""
 
-    def host_location(self, mac: MacAddr) -> HostLocation | None: ...
-
-    def path_from_switch(self, dpid: int, dst_mac: MacAddr) -> list[PathHop]: ...
+    def path_from_switch(
+        self, dpid: int, dst_mac: MacAddr, learn: tuple[MacAddr, int] | None = None
+    ) -> list[PathHop]: ...
 
     def learn_host(self, mac: MacAddr, dpid: int, port: int) -> None: ...
 
@@ -558,16 +577,17 @@ class ForwardingService:
         frame = event.frame
         if frame.ethertype == ETHERTYPE_DISCOVERY:
             return FwdDecision(kind="ignored")  # topology service's traffic
+        learn = None if frame.src.is_broadcast else (frame.src, event.in_port)
         with self._lock:
             self.stats.packets_handled += 1
-            if not frame.src.is_broadcast:
-                self.topo.learn_host(frame.src, event.dpid, event.in_port)
             if frame.dst.is_broadcast:
-                return self._flood(event)
-            if self.topo.host_location(frame.dst) is None:
+                if learn is not None:
+                    self.topo.learn_host(frame.src, event.dpid, event.in_port)
                 return self._flood(event)
             try:
-                hops = self.topo.path_from_switch(event.dpid, frame.dst)
+                hops = self.topo.path_from_switch(event.dpid, frame.dst, learn=learn)
+            except UnknownHostError:
+                return self._flood(event)
             except PathError:
                 self.stats.path_failures += 1
                 return self._flood(event)

@@ -102,12 +102,17 @@ def event_source(mode: DistMode, events, kinds: frozenset[EventKind], name: str,
 
 
 class _SubscriberLoop:
-    """Thread decoding an event source into one service; stop() closes the source."""
+    """Thread decoding an event source into one service; stop() closes the source.
+
+    An event that fails to decode or that the service raises on is logged,
+    counted in ``errors`` and skipped; the loop keeps consuming.
+    """
 
     def __init__(self, source, service, name: str):
         self._source = source
         self._service = service
         self._running = True
+        self.errors = 0
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self._thread.start()
 
@@ -125,20 +130,26 @@ class _SubscriberLoop:
                 self._service.on_event(decode_event(data))
             except Exception:
                 log.exception("%s failed on an event", self._thread.name)
+                self.errors += 1
 
 
 def attach_services(core: Core, events, topo, fwd, teardown: ExitStack,
-                    poll_interval: float = DEFAULT_POLL_INTERVAL, batch: int = 64) -> None:
+                    poll_interval: float = DEFAULT_POLL_INTERVAL,
+                    batch: int = 64) -> list[_SubscriberLoop]:
     """Hand the core's events to both services: as its compiled-in app in
     INTERNAL mode, otherwise on one subscriber loop per service, each over
-    its own source from ``events`` (see ``event_source``)."""
+    its own source from ``events`` (see ``event_source``). Returns the loops
+    started (none in INTERNAL mode)."""
     mode = core.config.mode
     if mode is DistMode.INTERNAL:
         core.set_internal_app(ServiceStack(topo, fwd))
-        return
+        return []
+    loops = []
     for service, kinds, name in ((topo, TOPO_KINDS, "topo"), (fwd, FWD_KINDS, "fwd")):
         source = event_source(mode, events, kinds, name, poll_interval, batch)
-        teardown.callback(_SubscriberLoop(source, service, f"{name}-loop").stop)
+        loops.append(_SubscriberLoop(source, service, f"{name}-loop"))
+        teardown.callback(loops[-1].stop)
+    return loops
 
 
 def converge(spec: NetworkSpec, fabric: Fabric, topo, timeout: float = 15.0) -> None:

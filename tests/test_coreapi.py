@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 import time
+from collections import Counter
 from contextlib import ExitStack
 
 import pytest
@@ -20,7 +22,14 @@ from flowplane.coreapi import CoreApiServer, RemoteCore
 from flowplane.fabric import Fabric
 from flowplane.interservice import TopoQueryClient, TopoQueryServer
 from flowplane.services import ForwardingService, FwdConfig, TopologyService
-from flowplane.stack import TOPO_KINDS, attach_services, converge, serve_events, start_core
+from flowplane.stack import (
+    TOPO_KINDS,
+    _SubscriberLoop,
+    attach_services,
+    converge,
+    serve_events,
+    start_core,
+)
 from flowplane.topology import build_linear
 from flowplane.wire import (
     Action,
@@ -38,6 +47,7 @@ from flowplane.wire import (
     TopologyDeviceEvent,
     TopologyLinkEvent,
     TopologyPortEvent,
+    encode_event,
     event_kind,
 )
 
@@ -199,6 +209,49 @@ class _Recorder:
         self.events.append((event_kind(event), event.seq))
 
 
+class _RaisesOnDevice(_Recorder):
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, TopologyDeviceEvent):
+            raise RuntimeError("service failed")
+
+
+class _ListSource:
+    """An event source handing out the given bytes, then nothing."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def get(self, timeout=None):
+        if self._items:
+            return self._items.pop(0)
+        time.sleep(timeout or 0)
+        return None
+
+    def close(self):
+        pass
+
+
+class _CountingTopo:
+    """Counts the topology query server's requests per tag on the way to ``topo``."""
+
+    def __init__(self, topo: TopologyService):
+        self._topo = topo
+        self.tags = Counter()
+
+    def host_location(self, mac):
+        self.tags[1] += 1
+        return self._topo.host_location(mac)
+
+    def path_from_switch(self, dpid, mac, learn=None):
+        self.tags[2 if learn is None else 4] += 1
+        return self._topo.path_from_switch(dpid, mac, learn)
+
+    def learn_host(self, mac, dpid, port):
+        self.tags[3] += 1
+        self._topo.learn_host(mac, dpid, port)
+
+
 class TestStandaloneServices:
     """The split deployment, wired by the functions in ``flowplane.stack``."""
 
@@ -218,14 +271,17 @@ class TestStandaloneServices:
             fwd_core = RemoteCore(api_server.address)
             teardown.callback(fwd_core.close)
             topo = TopologyService(topo_core, discovery_interval=0)
-            query_server = TopoQueryServer(topo).start()
+            counted = _CountingTopo(topo)
+            query_server = TopoQueryServer(counted).start()
             teardown.callback(query_server.stop)
             topo_client = TopoQueryClient(query_server.address)
             teardown.callback(topo_client.close)
             # the forwarding service reaches the topology service only via the
             # inter-service query channel, like a real split deployment
             fwd = ForwardingService(fwd_core, topo_client, FwdConfig(install_rules=False))
-            attach_services(core, events.address, topo, fwd, teardown, poll_interval=0.001)
+            loops = attach_services(
+                core, events.address, topo, fwd, teardown, poll_interval=0.001
+            )
             if mode is DistMode.P2P:
                 # subscriptions are live before any events exist (p2p has no history)
                 assert wait_until(lambda: backend.subscription_count() == 2)
@@ -235,8 +291,52 @@ class TestStandaloneServices:
             converge(spec, fabric, topo, timeout=10)
             assert topo.link_set() == spec.switch_link_set()
             assert set(topo.hosts()) == {h.mac for h in spec.hosts}
+            counted.tags.clear()
+            last_seq = core.event_log()[-1].seq
             samples = fabric.hosts["h1"].ping(H2, count=3, interval=0.001)
             assert all(not s.lost for s in samples)
+            # one learn-path round trip per punted unicast frame, nothing else
+            unicast_punts = [
+                e for e in core.event_log()
+                if e.seq > last_seq and isinstance(e, PacketExceptionEvent)
+                and not e.frame.dst.is_broadcast
+            ]
+            assert len(unicast_punts) == 18  # 3 switches each way, 3 pings
+            assert counted.tags[4] == len(unicast_punts)
+            assert counted.tags[1] == 0 and counted.tags[2] == 0
+            assert [loop.errors for loop in loops] == [0, 0]
+
+    @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])
+    def test_loop_counts_service_errors_and_keeps_consuming(self, mode, caplog):
+        caplog.set_level(logging.ERROR, logger="flowplane.stack")
+        with ExitStack() as teardown:
+            core, backend = start_core(CoreConfig(mode=mode), teardown)
+            topo, fwd = _RaisesOnDevice(), _Recorder()
+            loops = attach_services(core, backend, topo, fwd, teardown, poll_interval=0.001)
+            if mode is DistMode.P2P:
+                assert wait_until(lambda: backend.subscription_count() == 2)
+            raised = [core.raise_event(e) for e in _EVENTS]
+            want_topo = [(event_kind(e), e.seq) for e in raised if event_kind(e) in TOPO_KINDS]
+            assert wait_until(lambda: len(topo.events) >= len(want_topo))
+            assert sorted(topo.events, key=lambda e: e[1]) == want_topo
+            devices = sum(isinstance(e, TopologyDeviceEvent) for e in _EVENTS)
+            assert wait_until(lambda: loops[0].errors == devices)
+            assert loops[1].errors == 0
+            assert len([r for r in caplog.records if r.name == "flowplane.stack"]) == devices
+
+    def test_loop_counts_undecodable_events(self, caplog):
+        caplog.set_level(logging.ERROR, logger="flowplane.stack")
+        source = _ListSource(
+            [b"not an event", encode_event(_EVENTS[0]), b"", encode_event(_EVENTS[1])]
+        )
+        service = _Recorder()
+        loop = _SubscriberLoop(source, service, "test-loop")
+        try:
+            assert wait_until(lambda: len(service.events) == 2)
+            assert loop.errors == 2
+        finally:
+            loop.stop()
+        assert len([r for r in caplog.records if r.name == "flowplane.stack"]) == 2
 
     @pytest.mark.parametrize("remote", [False, True], ids=["inproc", "socket"])
     @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])

@@ -141,6 +141,16 @@ CORE = [
 # -- topology queries ------------------------------------------------------------
 
 TOPO = [
+    # a learn-path request whose destination is unknown still learns its
+    # source, as the host-location vector after it shows
+    Vector("learn-path-unknown-dst", lambda c: c.path_from_switch(1, H77, learn=(H1, 2)),
+           Raises(UnknownHostError, "no location for 02:00:00:00:00:4d"),
+           x("00000017 04 0000000000000001 02000000004d 020000000001 0002"),
+           x("00000024 02 0021", b"no location for 02:00:00:00:00:4d")),
+    Vector("host-location-after-learn-path", lambda c: c.host_location(H1),
+           HostLocation(H1, 1, 2),
+           x("00000007 01 020000000001"),
+           x("0000000b 00 0000000000000001 0002")),
     Vector("learn-host", lambda c: c.learn_host(H1, 1, 2), None,
            x("00000011 03 020000000001 0000000000000001 0002"),
            x("00000001 00")),
@@ -152,6 +162,10 @@ TOPO = [
            x("0000000b 00 0000000000000001 0002")),
     Vector("path", lambda c: c.path_from_switch(1, H2), [PathHop(1, 1), PathHop(2, 2)],
            x("0000000f 02 0000000000000001 020000000002"),
+           x("00000017 00 0002 0000000000000001 0001 0000000000000002 0002")),
+    Vector("learn-path", lambda c: c.path_from_switch(1, H2, learn=(H1, 2)),
+           [PathHop(1, 1), PathHop(2, 2)],
+           x("00000017 04 0000000000000001 020000000002 020000000001 0002"),
            x("00000017 00 0002 0000000000000001 0001 0000000000000002 0002")),
     Vector("host-location-unknown", lambda c: c.host_location(H77), None,
            x("00000007 01 02000000004d"),
@@ -401,11 +415,11 @@ OVERSIZED = struct.pack(">I", 0xFFFFFFF0)
 TRUNCATED = struct.pack(">I", 100) + bytes(10)
 UNKNOWN_TAG = _frame(b"\x09")
 # a broker publish whose topic is not utf-8; the other two protocols carry
-# no strings, so theirs stops short inside its first field
+# no strings, so theirs stop short inside their first field
 MALFORMED = {
-    "broker": _frame(b"\x01\x00\x02\xff\xfe\x00\x00\x00\x00"),
-    "core": _frame(b"\x01\x00\x00"),
-    "topo": _frame(b"\x02\x00"),
+    "broker": [_frame(b"\x01\x00\x02\xff\xfe\x00\x00\x00\x00")],
+    "core": [_frame(b"\x01\x00\x00")],
+    "topo": [_frame(b"\x02\x00"), _frame(b"\x04\x00")],
 }
 # one well-formed call each, made from a new client afterwards
 WELL_FORMED = {
@@ -448,7 +462,8 @@ class TestMalformedInput:
         _error_or_close(server.address, OVERSIZED)
         _error_or_close(server.address, TRUNCATED, close_after_send=True)
         _error_or_close(server.address, UNKNOWN_TAG, must_reply=True)
-        _error_or_close(server.address, MALFORMED[protocol], must_reply=True)
+        for request in MALFORMED[protocol]:
+            _error_or_close(server.address, request, must_reply=True)
         client = client_cls(server.address)
         try:
             assert WELL_FORMED[protocol](client)
@@ -456,6 +471,9 @@ class TestMalformedInput:
             client.close()
         time.sleep(0.05)  # let the handler threads of closed connections finish
         assert crashes == []
+
+    def test_every_topology_request_tag_is_cut(self):
+        assert {cut[0] for cut in _cut_bodies("topo") if cut} == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("protocol", list(PROTOCOLS))
     def test_every_cut_request_body_is_refused(self, protocol, serve, crashes):
@@ -478,7 +496,7 @@ class TestMalformedInput:
     def test_undecodable_request_logs_one_line(self, protocol, serve, caplog):
         """A peer's malformed bytes cost one warning line each, not a traceback."""
         server, _ = serve(protocol)
-        requests = [MALFORMED[protocol]] + [_frame(cut) for cut in _cut_bodies(protocol)]
+        requests = MALFORMED[protocol] + [_frame(cut) for cut in _cut_bodies(protocol)]
         caplog.set_level(logging.WARNING, logger="flowplane.framing")
         with socket.create_connection(server.address, timeout=5) as sock:
             for request in requests:

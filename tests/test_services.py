@@ -14,8 +14,10 @@ from flowplane.services import (
     DiscoveryPayload,
     ForwardingService,
     FwdConfig,
+    FwdDecision,
     HostLocation,
     NoPathError,
+    PathError,
     TopologyGraph,
     TopologyService,
     UnknownHostError,
@@ -462,11 +464,173 @@ class TestForwardingUnit:
         fwd.handle_packet(packet_event(h1.dpid, h1.port, f))
         assert topo.host_location(h1.mac) == HostLocation(h1.mac, h1.dpid, h1.port)
 
+    def test_path_query_learns_the_source_even_when_it_raises(self):
+        spec, core, topo, fwd = self._setup()
+        h1 = spec.host_by_id("h1")
+        with pytest.raises(UnknownHostError):
+            topo.path_from_switch(h1.dpid, MacAddr.host(9), learn=(h1.mac, h1.port))
+        assert topo.host_location(h1.mac) == HostLocation(h1.mac, h1.dpid, h1.port)
+        with pytest.raises(NoPathError):
+            topo.path_from_switch(77, h1.mac, learn=(MacAddr.host(8), 1))
+        assert topo.host_location(MacAddr.host(8)) is None  # unknown switch
+
     def test_discovery_frames_ignored(self):
         spec, core, topo, fwd = self._setup()
         decision = fwd.handle_packet(packet_event(1, 1, probe_frame(2, 1)))
         assert decision.kind == "ignored"
         assert fwd.stats.packets_handled == 0
+
+
+class ThreeCallForwarding(ForwardingService):
+    """Reference decision: learn the source, locate the destination, then ask
+    for the path, as three separate topology calls."""
+
+    def handle_packet(self, event: PacketExceptionEvent) -> FwdDecision:
+        frame = event.frame
+        if frame.ethertype == ETHERTYPE_DISCOVERY:
+            return FwdDecision(kind="ignored")
+        with self._lock:
+            self.stats.packets_handled += 1
+            if not frame.src.is_broadcast:
+                self.topo.learn_host(frame.src, event.dpid, event.in_port)
+            if frame.dst.is_broadcast:
+                return self._flood(event)
+            if self.topo.host_location(frame.dst) is None:
+                return self._flood(event)
+            try:
+                hops = self.topo.path_from_switch(event.dpid, frame.dst)
+            except PathError:
+                self.stats.path_failures += 1
+                return self._flood(event)
+            self.core.packet_out(event.dpid, hops[0].out_port, frame)
+            self.stats.forwarded += 1
+            return FwdDecision(kind="forwarded", out_port=hops[0].out_port)
+
+
+class QueryOnly:
+    """Exposes only the calls ``TopologyQuery`` lists, so any other call fails."""
+
+    def __init__(self, topo: TopologyService):
+        self.path_from_switch = topo.path_from_switch
+        self.learn_host = topo.learn_host
+
+
+class TestOneCallDecisionMatchesThreeCalls:
+    """The one-call forwarding decision against the three-call reference, on
+    two topology services fed the same events, compared after every packet."""
+
+    SPEC = build_fat_tree(4)
+    TRUTH = graph_from_spec(SPEC)
+
+    def _pair(self, known=()):
+        sides = []
+        for fwd_type, wrap in ((ThreeCallForwarding, lambda t: t), (ForwardingService, QueryOnly)):
+            core = RecordingCore()
+            topo = make_topo(core)
+            sides.append((core, topo, fwd_type(core, wrap(topo), FwdConfig())))
+        self._topo_events(sides, *(
+            TopologyDeviceEvent(dpid=s.dpid, up=True) for s in self.SPEC.switches
+        ))
+        self._topo_events(sides, *(
+            TopologyPortEvent(dpid=s.dpid, port=p, up=True)
+            for s in self.SPEC.switches for p in range(1, s.n_ports + 1)
+        ))
+        self._topo_events(sides, *(
+            packet_event(dd, dp, probe_frame(sd, sp))
+            for sd, sp, dd, dp in sorted(self.SPEC.switch_link_set())
+        ))
+        for _core, topo, _fwd in sides:
+            for h in known:
+                topo.learn_host(h.mac, h.dpid, h.port)
+        return sides
+
+    @staticmethod
+    def _topo_events(sides, *events) -> None:
+        for event in events:
+            for _core, topo, _fwd in sides:
+                topo.on_event(event)
+
+    @staticmethod
+    def _packet(sides, event) -> FwdDecision:
+        (ref_core, ref_topo, ref_fwd), (core, topo, fwd) = sides
+        want = ref_fwd.handle_packet(event)
+        got = fwd.handle_packet(event)
+        assert got == want, event
+        assert fwd.stats == ref_fwd.stats, event
+        assert topo.hosts() == ref_topo.hosts(), event
+        assert core.packet_outs == ref_core.packet_outs, event
+        return got
+
+    def _walk(self, src, dst, payload=b"data"):
+        """A frame from ``src`` to ``dst`` punted at every switch on their path:
+        first on the source's edge port, then on inter-switch ports."""
+        frame = Frame(dst.mac, src.mac, ETHERTYPE_DATA, payload)
+        dpid, in_port = src.dpid, src.port
+        for hop in path_from_switch(self.TRUTH, src.dpid, dst.mac):
+            yield packet_event(dpid, in_port, frame)
+            if (hop.dpid, hop.out_port) in self.TRUTH.links:
+                dpid, in_port = self.TRUTH.links[(hop.dpid, hop.out_port)]
+
+    def _walk_all(self, sides, hosts) -> None:
+        for src, dst in itertools.permutations(hosts, 2):
+            for event in self._walk(src, dst):
+                self._packet(sides, event)
+
+    def test_no_host_known(self):
+        sides = self._pair()
+        self._walk_all(sides, self.SPEC.hosts)
+        assert sides[1][2].stats.flooded and sides[1][2].stats.forwarded
+
+    def test_every_host_known(self):
+        sides = self._pair(known=self.SPEC.hosts)
+        self._walk_all(sides, self.SPEC.hosts)
+        assert sides[1][2].stats.flooded == 0
+
+    def test_some_hosts_known(self):
+        sides = self._pair(known=self.SPEC.hosts[::3])
+        self._walk_all(sides, self.SPEC.hosts)
+
+    def test_source_on_inter_switch_port_not_learned(self):
+        sides = self._pair(known=self.SPEC.hosts[:1])
+        stranger = MacAddr.host(99)
+        dpid, port = next(iter(self.TRUTH.links))
+        for dst in (self.SPEC.hosts[0].mac, MacAddr.host(98)):
+            self._packet(sides, packet_event(dpid, port, Frame(dst, stranger, ETHERTYPE_DATA, b"x")))
+        assert stranger not in sides[1][1].hosts()
+
+    def test_broadcast_source_and_destination(self):
+        sides = self._pair(known=self.SPEC.hosts[:8])
+        for h in self.SPEC.hosts:
+            for frame in (
+                Frame(BROADCAST, h.mac, ETHERTYPE_ARP, b"HOSTaaaaaa"),
+                Frame(h.mac, BROADCAST, ETHERTYPE_DATA, b"from-broadcast"),
+                Frame(BROADCAST, BROADCAST, ETHERTYPE_DATA, b"both"),
+            ):
+                self._packet(sides, packet_event(h.dpid, h.port, frame))
+
+    def test_discovery_frames(self):
+        sides = self._pair(known=self.SPEC.hosts)
+        for sd, sp, dd, dp in sorted(self.SPEC.switch_link_set()):
+            assert self._packet(sides, packet_event(dd, dp, probe_frame(sd, sp))).kind == "ignored"
+        assert sides[1][2].stats.packets_handled == 0
+
+    def test_known_destination_behind_cut_links(self):
+        sides = self._pair(known=self.SPEC.hosts)
+        cut = self.SPEC.hosts[-1].dpid  # an edge switch: cut both its uplinks
+        self._topo_events(sides, *(
+            TopologyPortEvent(dpid=cut, port=port, up=False)
+            for dpid, port in self.TRUTH.links if dpid == cut
+        ))
+        cut_off = [h for h in self.SPEC.hosts if h.dpid == cut]
+        for src in self.SPEC.hosts:
+            for dst in cut_off:
+                if src is not dst:
+                    frame = Frame(dst.mac, src.mac, ETHERTYPE_DATA, b"data")
+                    self._packet(sides, packet_event(src.dpid, src.port, frame))
+        # every sender off the cut switch fails; the two behind it still meet
+        others = len(self.SPEC.hosts) - len(cut_off)
+        assert sides[1][2].stats.path_failures == others * len(cut_off)
+        assert sides[1][2].stats.forwarded == len(cut_off) * (len(cut_off) - 1)
 
 
 MODES = [DistMode.INTERNAL, DistMode.P2P, DistMode.BROKER]
