@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import DistMode
+from .fabric import ConnReport
 from .stack import Stack, StackConfig
 from .topology import parse_topology
 from .wire import (
@@ -187,13 +188,7 @@ def event_row(event: Event) -> tuple:
 
 
 def write_event_log(events: list[Event], path: Path, header: list[str]) -> None:
-    with path.open("w", newline="") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["seq", "ts_micros", "kind", "dpid", "detail"])
-        for event in events:
-            writer.writerow(event_row(event))
+    _write_csv(path, header, ["seq", "ts_micros", "kind", "dpid", "detail"], map(event_row, events))
 
 
 def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
@@ -426,19 +421,11 @@ class TpConfig:
 
 
 @dataclass
-class ConnStats:
-    conn_id: int
-    bytes_acked: int
-    goodput_bps: float
-    retransmits: int
-
-
-@dataclass
 class TpCell:
     mode: DistMode
     install: str
     n_conns: int
-    conns: list[ConnStats]
+    conns: list[ConnReport]
     removed_events: int
     added_events: int
     valid: bool
@@ -546,15 +533,7 @@ def run_throughput(cfg: TpConfig, out_dir: str | Path | None = None) -> TpResult
                 mode=mode,
                 install=cfg.install,
                 n_conns=n_conns,
-                conns=[
-                    ConnStats(
-                        conn_id=r.conn_id,
-                        bytes_acked=r.bytes_acked,
-                        goodput_bps=r.goodput_bps,
-                        retransmits=r.retransmits,
-                    )
-                    for r in reports
-                ],
+                conns=reports,
                 removed_events=removed,
                 added_events=added,
                 valid=sum(r.bytes_acked for r in reports) > 0,

@@ -35,6 +35,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 
 from .framing import MAX_RECORD_BYTES, CallClient, FramedServer, frame, pack_str, unpack_str
 from .wire import U8, U32, U64, Reader, event_seq, take
@@ -159,9 +160,10 @@ class BrokerConsumer:
     out. Empty polls sleep ``poll_interval`` before the next attempt, which
     makes the interval the floor of this backend's delivery latency.
 
-    Over several topics the records must be encoded events: each refill is
-    merged by the ``seq`` in their fixed header, so events arrive in the
-    order the core stamped them whatever topic they came from.
+    Over several topics each refill is merged by the ``seq`` in the events'
+    fixed header, so events arrive in the order the core stamped them
+    whatever topic they came from. A record that is not an event keeps its
+    place in its topic and is handed out like any other.
     """
 
     def __init__(
@@ -214,14 +216,32 @@ class BrokerConsumer:
             t, batch = batches[0]
             self._buffer.extend((t, r) for r in batch)
         elif batches:
+            keyed = [(t, batch, _merge_keys(batch)) for t, batch in batches]
             # a full batch may stop short of records that precede another topic's:
-            # hand out nothing past its last seq, and poll the rest again
-            full = [batch for _, batch in batches if len(batch) >= self.batch_size]
-            horizon = min((event_seq(batch[-1].data) for batch in full), default=math.inf)
-            merged = [(t, r) for t, batch in batches for r in batch if event_seq(r.data) <= horizon]
-            merged.sort(key=lambda item: event_seq(item[1].data))
-            self._buffer.extend(merged)
+            # hand out nothing past its last key, and poll the rest again
+            full_ends = [keys[-1] for _, batch, keys in keyed if len(batch) >= self.batch_size]
+            horizon = min(full_ends, default=math.inf)
+            merged = [(k, t, r) for t, batch, keys in keyed for k, r in zip(keys, batch) if k <= horizon]
+            merged.sort(key=itemgetter(0))
+            self._buffer.extend((t, r) for _, t, r in merged)
         return bool(batches)
+
+
+def _merge_keys(batch: list[Record]) -> list[int]:
+    """Each record's seq, kept from falling below an earlier record's key.
+
+    A record that is not an event takes the key before it, so the keys never
+    fall within a topic: ``get`` then never moves a topic's offset past a
+    record it has not handed out yet, and the record reaches the consumer,
+    whose decoder rejects it.
+    """
+    keys, key = [], 0
+    for record in batch:
+        seq = event_seq(record.data)
+        if seq is not None and seq > key:
+            key = seq
+        keys.append(key)
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ Packet return and flow programming are request/response calls on this object
 regardless of the distribution mode (the outbound event path is the only
 thing the backends change). Flow rules get their ids here, so flow-rule
 events are globally unambiguous; a shadow of installed rules backs rule-id
-validation and REMOVE/MODIFY routing. A sweep thread asks adopted switches
-to purge hard-timed-out rules; expiries come back as REMOVED events carrying
-the rule's final counters.
+validation and REMOVE/MODIFY routing. Switches enforce hard timeouts
+themselves and report what expired; each expiry becomes a REMOVED event
+carrying the rule's final counters.
 
 A slow or broken backend never blocks the southbound path: failures count as
 drops in the core metrics and the event is abandoned.
@@ -96,7 +96,6 @@ class EventApp(Protocol):
 class CoreConfig:
     mode: DistMode = DistMode.INTERNAL
     rest_listen: tuple[str, int] | None = None
-    sweep_interval: float = 0.25
 
 
 @dataclass
@@ -178,10 +177,7 @@ class Core:
         self._seq_lock = threading.Lock()
         self._next_seq = 1
         self._event_log: list[Event] = []
-        self._fabric = None
         self._rest_server = None
-        self._sweep_stop = threading.Event()
-        self._sweep_thread: threading.Thread | None = None
 
     # -- internal app --------------------------------------------------------
 
@@ -194,7 +190,6 @@ class Core:
 
     def adopt(self, fabric) -> None:
         """Connect every switch of a fabric to this core's southbound handler."""
-        self._fabric = fabric
         for sw in fabric.switches.values():
             uplink = self._make_uplink(sw)
             sw.connect_controller(uplink, self._on_rules_expired)
@@ -210,19 +205,9 @@ class Core:
             from .rest import RestServer
 
             self._rest_server = RestServer(self, *self.config.rest_listen).start()
-        if self._sweep_thread is None:
-            self._sweep_stop.clear()
-            self._sweep_thread = threading.Thread(
-                target=self._sweep_loop, name="core-sweep", daemon=True
-            )
-            self._sweep_thread.start()
         return self
 
     def stop(self) -> None:
-        self._sweep_stop.set()
-        if self._sweep_thread is not None:
-            self._sweep_thread.join(timeout=2)
-            self._sweep_thread = None
         if self._rest_server is not None:
             self._rest_server.stop()
             self._rest_server = None
@@ -230,14 +215,6 @@ class Core:
     @property
     def rest_address(self) -> tuple[str, int] | None:
         return self._rest_server.address if self._rest_server else None
-
-    def _sweep_loop(self) -> None:
-        while not self._sweep_stop.wait(self.config.sweep_interval):
-            fabric = self._fabric
-            if fabric is None:
-                continue
-            for sw in fabric.switches.values():
-                sw.sweep()
 
     # -- southbound ------------------------------------------------------------
 

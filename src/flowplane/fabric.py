@@ -8,6 +8,13 @@ and the data plane runs on one thread whatever its size. Links deliver frames
 either by direct enqueue (zero latency, the default) or after a fixed delay
 kept on the scheduler's timer heap, which preserves per-link FIFO order.
 
+Switches enforce their rules' hard timeouts themselves, as OpenFlow switches
+do: installing or modifying a rule with a timeout puts its deadline on the same
+timer heap, and when it falls due the switch purges what has expired and
+reports it to the controller. The heap has no cancel, so a rule removed or
+modified early leaves a timer that finds nothing due; pending entries are
+bounded by the timed FlowMods issued within the longest timeout in use.
+
 Hosts carry two traffic generators: an echo-based ping that measures
 round-trip times on the host's own monotonic clock, and a stop-and-wait
 segment/ack byte stream used for goodput measurements. Hosts answer pings
@@ -73,8 +80,9 @@ DEFAULT_RETRANSMIT_S = 1.0
 class _Scheduler:
     """One thread running every actor's queued handlers, in arrival order.
 
-    Frames delayed by link latency wait on a heap that the same thread keeps;
-    it blocks on the queue only until the next of them is due.
+    Timed calls (frames delayed by link latency, rule deadlines) wait on a heap
+    that the same thread keeps; it blocks on the queue only until the next of
+    them is due.
     """
 
     def __init__(self) -> None:
@@ -114,7 +122,11 @@ class _Scheduler:
             if timers:
                 now = time.monotonic()
                 while timers and timers[0][0] <= now:
-                    heapq.heappop(timers)[2]()
+                    fn = heapq.heappop(timers)[2]
+                    try:
+                        fn()
+                    except Exception:
+                        log.exception("timer %r failed", fn)
                 if timers:
                     timeout = timers[0][0] - now
             try:
@@ -196,10 +208,6 @@ class SimSwitch:
         """Southbound bytes from the controller."""
         self._q.put(("sb", data))
 
-    def sweep(self) -> None:
-        """Ask the actor to purge hard-timed-out rules."""
-        self._q.put(("expire",))
-
     def set_port_admin(self, port: int, up: bool) -> None:
         self._q.put(("port", port, up))
 
@@ -229,10 +237,6 @@ class SimSwitch:
             self._emit(switch_rx(self.state, in_port, frame, time.monotonic()))
         elif kind == "sb":
             self._handle_sb(decode_sb(item[1]))
-        elif kind == "expire":
-            removed = self.state.expire(time.monotonic())
-            if removed and self._on_expired:
-                self._on_expired(self.dpid, removed)
         elif kind == "port":
             _, port, up = item
             self.state.set_port(port, up)
@@ -259,8 +263,17 @@ class SimSwitch:
                         msg.rule.rule_id,
                     )
                     self.state.install(replace(msg.rule), now)
+            if msg.op is not FlowModOp.REMOVE and msg.rule.hard_timeout_s > 0:
+                # handlers run on the scheduler thread, as call_later requires
+                self._q.scheduler.call_later(msg.rule.hard_timeout_s, self._expire)
         else:
             log.warning("switch %d: unexpected southbound %r", self.dpid, type(msg))
+
+    def _expire(self) -> None:
+        """A rule's deadline: purge whatever has expired and report it."""
+        removed = self.state.expire(time.monotonic())
+        if removed and self._on_expired:
+            self._on_expired(self.dpid, removed)
 
     def _emit(self, effects) -> None:
         for effect in effects:

@@ -123,9 +123,6 @@ class P2pDistributor:
         """Deliver to every matching subscription; returns the copy count."""
         kind = event_kind(event)
         data = encode_event(event)
-        return self.push_encoded(kind, data)
-
-    def push_encoded(self, kind: EventKind, data: bytes) -> int:
         with self._lock:
             targets = [s for s in self._subs.values() if kind in s.kinds]
         for sub in targets:

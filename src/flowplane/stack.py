@@ -54,7 +54,6 @@ class StackConfig:
     link_latency: float = 0.0
     inbox_limit: int | None = None
     rest: bool = False
-    sweep_interval: float = 0.25
 
 
 # -- wiring ---------------------------------------------------------------------
@@ -212,7 +211,6 @@ class Stack:
             core_config = CoreConfig(
                 mode=cfg.mode,
                 rest_listen=("127.0.0.1", 0) if cfg.rest or rest else None,
-                sweep_interval=cfg.sweep_interval,
             )
             self.core, backend = start_core(core_config, teardown)
             self.broker, self.p2p = self.core.backend_broker(), self.core.backend_p2p()

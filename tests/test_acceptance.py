@@ -165,7 +165,6 @@ def test_criterion_05_expiry_reinstall_cycle():
         discovery_interval=0,
         install_rules=True,
         hard_timeout_s=1,
-        sweep_interval=0.05,
     )
     with Stack(spec, config) as stack:
         stack.warm()

@@ -16,20 +16,39 @@ from flowplane.broker import (
     RecordTooLargeError,
 )
 from flowplane.core import Core, CoreConfig, DistMode
-from flowplane.stack import TOPO_KINDS
+from flowplane.stack import TOPO_KINDS, _SubscriberLoop
 from flowplane.wire import (
     BROADCAST,
     ETHERTYPE_ARP,
     TOPIC_FOR_KIND,
+    EventKind,
     Frame,
     MacAddr,
     PacketExceptionEvent,
     TopologyDeviceEvent,
     TopologyPortEvent,
+    U64,
     decode_event,
     encode_event,
     event_kind,
 )
+
+
+def wait_until(predicate, timeout=5.0, interval=0.005):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return False
+
+
+class _Recorder:
+    def __init__(self):
+        self.seqs = []
+
+    def on_event(self, event):
+        self.seqs.append(event.seq)
 
 
 def _in_process_and_over_socket():
@@ -249,6 +268,47 @@ class TestCrossTopicOrder:
         assert self._drain(consumer) == list(range(1, len(pattern) + 1))
         # and every topic's committed offset reached the end of its log
         assert sum(broker.committed("c", t) for t in topics) == len(pattern)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 64])
+    def test_records_that_are_not_events_are_counted_and_passed(self, batch_size):
+        # too short to hold a seq, and long enough but with 2**63 where the seq
+        # would be and no event envelope around it
+        short, bogus = b"x" * 12, bytes(10) + U64.pack(2**63) + bytes(22)
+        device, port, packet = EventKind.DEVICE, EventKind.PORT, EventKind.PACKET
+        events = {
+            device: TopologyDeviceEvent(dpid=1, up=True),
+            port: TopologyPortEvent(dpid=1, port=1, up=True),
+            packet: PacketExceptionEvent(
+                dpid=1, in_port=1, frame=Frame(BROADCAST, MacAddr.host(1), ETHERTYPE_ARP)
+            ),
+        }
+        # (kind, None) raises an event of that kind; (kind, raw) publishes raw on its topic
+        steps = [(device, None), (port, None), (port, short), (packet, None), (device, None),
+                 (packet, None), (packet, bogus), (port, None), (packet, None), (device, None),
+                 (port, None)]
+        topics = [TOPIC_FOR_KIND[k] for k in sorted(TOPO_KINDS)]
+        for broker in _in_process_and_over_socket():
+            core = Core(CoreConfig(mode=DistMode.BROKER), broker=broker)
+            for kind, raw in steps:
+                if raw is None:
+                    core.raise_event(events[kind])
+                else:
+                    broker.publish(TOPIC_FOR_KIND[kind], raw)
+            consumer = BrokerConsumer(
+                broker, "topo", topics, poll_interval=0.001, batch_size=batch_size
+            )
+            service = _Recorder()
+            loop = _SubscriberLoop(consumer, service, "topo-loop")
+            try:
+                assert wait_until(lambda: len(service.seqs) == 9 and loop.errors == 2)
+                time.sleep(0.05)  # room for anything that should not arrive
+                assert service.seqs == list(range(1, 10))
+                assert loop.errors == 2
+                assert loop._thread.is_alive()
+                # packet, device and port topics, each to its end
+                assert [broker.committed("topo", t) for t in topics] == [4, 3, 4]
+            finally:
+                loop.stop()
 
 
 class TestIntrospection:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -45,6 +46,15 @@ from flowplane.wire import (
 
 H1 = MacAddr.host(1)
 H2 = MacAddr.host(2)
+
+
+def wait_until(predicate, timeout=5.0, interval=0.005):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return False
 
 
 def frame(payload=b"payload") -> Frame:
@@ -281,7 +291,7 @@ class TestFlowMod:
 class TestExpirySweep:
     def test_expired_rule_becomes_removed_event(self):
         fabric = Fabric(build_linear(1))
-        core = Core(CoreConfig(sweep_interval=0.05))
+        core = Core()
         core.adopt(fabric)
         with fabric:
             core.start()
@@ -328,6 +338,80 @@ class TestExpirySweep:
             rules = core.flows(1)
             assert [r.rule_id for r in rules] == [rule_id]
             assert rules[0].hard_timeout_s == 10
+
+    def test_core_runs_no_thread_of_its_own(self):
+        before = set(threading.enumerate())
+        core = Core().start()
+        try:
+            assert [t.name for t in threading.enumerate() if t not in before] == []
+        finally:
+            core.stop()
+
+    # the switches below never see a frame, so only their own timers expire rules
+
+    @pytest.fixture
+    def idle(self):
+        fabric = Fabric(build_linear(3))
+        core = Core()
+        core.adopt(fabric)
+        with fabric:
+            core.start()
+            try:
+                assert fabric.quiesce()
+                yield core
+            finally:
+                core.stop()
+
+    @staticmethod
+    def _add(core: Core, dpid: int) -> tuple[int, float]:
+        """A 1 s rule on ``dpid``: its id and the wall time just before the request."""
+        sent = time.time()
+        return core.flow_mod(FlowModRequest(dpid=dpid, match=Match(eth_dst=H2), hard_timeout_s=1)), sent
+
+    @staticmethod
+    def _removed(core: Core) -> list[tuple[int, float]]:
+        """(rule id, wall time) of every REMOVED event, in seq order."""
+        return [
+            (e.rule.rule_id, e.ts_micros / 1e6)
+            for e in core.event_log()
+            if isinstance(e, FlowRuleEvent) and e.op is RuleEventOp.REMOVED
+        ]
+
+    def test_idle_switch_reports_expiry_at_the_deadline(self, idle):
+        # a twelfth of a second apart, so a purge running only every quarter
+        # second would be more than 0.1 s late for at least one of them
+        sent = {}
+        for dpid in (1, 2, 3):
+            rule_id, sent[rule_id] = self._add(idle, dpid)
+            time.sleep(1 / 12)
+        assert wait_until(lambda: len(self._removed(idle)) == 3)
+        for rule_id, removed_at in self._removed(idle):
+            assert 0.995 <= removed_at - sent[rule_id] <= 1.1, rule_id
+        assert all(idle.flows(dpid) == [] for dpid in (1, 2, 3))
+
+    def test_modify_restarts_the_deadline(self, idle):
+        rule_id, sent = self._add(idle, 1)
+        time.sleep(0.5)
+        modified = time.time()
+        idle.flow_mod(
+            FlowModRequest(
+                dpid=1, op=FlowModOp.MODIFY, rule_id=rule_id, priority=20, hard_timeout_s=1
+            )
+        )
+        time.sleep(max(0.0, sent + 1.2 - time.time()))
+        assert [(r.rule_id, r.priority) for r in idle.flows(1)] == [(rule_id, 20)]
+        assert self._removed(idle) == []
+        assert wait_until(lambda: self._removed(idle))
+        ((removed_id, removed_at),) = self._removed(idle)
+        assert removed_id == rule_id
+        assert 0.995 <= removed_at - modified <= 1.1
+
+    def test_rule_removed_early_is_reported_once(self, idle):
+        rule_id, sent = self._add(idle, 1)
+        idle.flow_mod(FlowModRequest(dpid=1, op=FlowModOp.REMOVE, rule_id=rule_id))
+        time.sleep(max(0.0, sent + 1.3 - time.time()))  # past the stale deadline
+        assert idle.flows(1) == []
+        assert [rid for rid, _ in self._removed(idle)] == [rule_id]
 
 
 class TestReportLink:

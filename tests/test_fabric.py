@@ -13,6 +13,8 @@ from flowplane.wire import (
     Action,
     ActionKind,
     ETHERTYPE_DATA,
+    FlowMod,
+    FlowModOp,
     FlowRule,
     Frame,
     Hello,
@@ -21,6 +23,7 @@ from flowplane.wire import (
     PacketIn,
     PortStatus,
     decode_sb,
+    encode_sb,
 )
 
 
@@ -136,6 +139,27 @@ class TestDelivery:
         assert chain3.quiesce(timeout=1)
         assert len(errors) == 1 and "deadlock" in str(errors[0])
         assert sw.request_rules() == []  # off the fabric thread it still answers
+
+    def test_failing_expiry_report_leaves_the_data_plane_running(self, chain3):
+        install_path_rules(chain3)
+        sw = chain3.switches[1]
+        reports = []
+
+        def on_expired(dpid, rules):  # runs on the switch's deadline timer
+            reports.append([r.rule_id for r in rules])
+            raise RuntimeError("controller failed")
+
+        sw.connect_controller(lambda data: None, on_expired)
+        chain3.start()
+        rule = FlowRule(rule_id=99, priority=1, match=Match(eth_dst=MacAddr.host(9)),
+                        actions=(), hard_timeout_s=1)
+        sw.control_rx(encode_sb(FlowMod(dpid=1, op=FlowModOp.ADD, rule=rule)))
+        deadline = time.monotonic() + 3
+        while not reports and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert reports == [[99]]
+        h1, h2 = chain3.hosts["h1"], chain3.hosts["h2"]
+        assert all(not s.lost for s in h1.ping(h2.mac, count=2, interval=0.001, timeout=1))
 
     def test_port_status_on_link_cut(self, chain3):
         ctl = StubController(chain3)
@@ -286,7 +310,7 @@ class TestQuiesce:
         assert chain3.quiesce(timeout=2)
         sw = chain3.switches[2]
         entered, release = self._block(sw, "_dispatch")
-        sw.sweep()
+        sw.set_port_admin(1, True)
         assert entered.wait(timeout=2)
         try:
             assert not chain3.quiesce(timeout=0.2)

@@ -677,6 +677,12 @@ def test_failed_start_stops_what_it_started(rest):
     assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
+def test_started_stack_adds_only_the_data_plane_thread():
+    before = set(threading.enumerate())
+    with Stack(build_linear(2), StackConfig(discovery_interval=0)):
+        assert [t.name for t in threading.enumerate() if t not in before] == ["fabric"]
+
+
 @pytest.mark.parametrize("mode", [DistMode.P2P, DistMode.BROKER], ids=["p2p", "broker"])
 def test_warm_probes_only_once_every_switch_is_known(mode):
     spec = build_fat_tree(4)
