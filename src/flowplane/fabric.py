@@ -1,12 +1,14 @@
 """Live data plane: switch and host actors wired per a NetworkSpec.
 
-Each switch and host is a sequential actor with its own mailbox, and one
-scheduler thread, owned by the Fabric, runs every queued item's handler to
-completion in arrival order. One thread draining one FIFO keeps each actor
-sequential and each link's frames in order without locking between actors,
-and the data plane runs on one thread whatever its size. Links deliver frames
-either by direct enqueue (zero latency, the default) or after a fixed delay
-kept on the scheduler's timer heap, which preserves per-link FIFO order.
+Each switch and host is a sequential actor, and one scheduler thread, owned
+by the Fabric, runs every queued item's handler to completion in arrival
+order. One thread draining one FIFO keeps each actor sequential and each
+link's frames in order without locking between actors, and the data plane
+runs on one thread whatever its size. Links deliver frames either by direct
+enqueue (zero latency, the default) or after a fixed delay kept on the
+scheduler's timer heap, which preserves per-link FIFO order. The scheduler
+keeps the one count of pending work, frames waiting on a delayed link
+included, and ``Fabric.quiesce`` waits for it to stay at zero.
 
 Switches enforce their rules' hard timeouts themselves, as OpenFlow switches
 do: installing or modifying a rule with a timeout puts its deadline on the same
@@ -82,24 +84,36 @@ class _Scheduler:
 
     Timed calls (frames delayed by link latency, rule deadlines) wait on a heap
     that the same thread keeps; it blocks on the queue only until the next of
-    them is due.
+    them is due. It counts pending work: an item until its handler returned,
+    and a delayed frame until it was queued at the peer.
     """
 
     def __init__(self) -> None:
         self._q: SimpleQueue = SimpleQueue()
-        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._timers: list[tuple[float, int, Callable[[], None], bool]] = []
         self._tick = itertools.count()
         self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+        self._pending = 0
 
-    def put(self, mailbox: _Mailbox, item) -> None:
-        self._q.put((mailbox, item))
+    def put(self, actor, handler: str, item) -> None:
+        """Queue ``item`` for the actor's method named ``handler``."""
+        with self._lock:
+            self._pending += 1
+        self._q.put((actor, handler, item))
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on the scheduler thread after ``delay`` seconds.
+    def idle(self) -> bool:
+        """Whether no item is queued or running and no delayed frame is in flight."""
+        return self._pending == 0
 
-        Only handlers call this: the heap belongs to the scheduler thread.
-        """
-        heapq.heappush(self._timers, (time.monotonic() + delay, next(self._tick), fn))
+    def call_later(self, delay: float, fn: Callable[[], None], pending: bool = False) -> None:
+        """Run ``fn`` on the scheduler thread after ``delay`` seconds, counted as
+        pending work until it returned if ``pending``. Only handlers call this:
+        the heap belongs to the scheduler thread."""
+        if pending:
+            with self._lock:
+                self._pending += 1
+        heapq.heappush(self._timers, (time.monotonic() + delay, next(self._tick), fn, pending))
 
     def on_thread(self) -> bool:
         return threading.current_thread() is self._thread
@@ -111,65 +125,42 @@ class _Scheduler:
 
     def stop(self) -> None:
         if self._thread is not None:
-            self._q.put((None, None))
+            self._q.put((None, None, None))
             self._thread.join(timeout=2)
             self._thread = None
 
     def _run(self) -> None:
-        get, timers = self._q.get, self._timers
+        get, timers, lock = self._q.get, self._timers, self._lock
         while True:
             timeout = None
             if timers:
                 now = time.monotonic()
                 while timers and timers[0][0] <= now:
-                    fn = heapq.heappop(timers)[2]
+                    _, _, fn, pending = heapq.heappop(timers)
                     try:
                         fn()
                     except Exception:
                         log.exception("timer %r failed", fn)
+                    finally:
+                        if pending:
+                            with lock:
+                                self._pending -= 1
                 if timers:
                     timeout = timers[0][0] - now
             try:
-                mailbox, item = get(timeout=timeout)
+                actor, handler, item = get(timeout=timeout)
             except Empty:
                 continue
-            if mailbox is None:
+            if actor is None:
                 return
             try:
                 # looked up per item, so a handler replaced on the actor is used
-                getattr(mailbox.actor, mailbox.handler)(item)
+                getattr(actor, handler)(item)
             except Exception:
-                log.exception("%s: failed to handle %.80r", mailbox.name, item)
+                log.exception("%s: failed to handle %.80r", actor.name, item)
             finally:
-                mailbox.done()
-
-
-class _Mailbox:
-    """An actor's way into the scheduler, with a count of its items not yet handled.
-
-    The count rises before an item is queued and falls only after its handler
-    returned, so an actor that is idle cannot have work queued or running.
-    """
-
-    def __init__(self, scheduler: _Scheduler, actor, handler: str, name: str) -> None:
-        self.scheduler = scheduler
-        self.actor = actor
-        self.handler = handler
-        self.name = name
-        self._lock = threading.Lock()
-        self._in_flight = 0
-
-    def put(self, item) -> None:
-        with self._lock:
-            self._in_flight += 1
-        self.scheduler.put(self, item)
-
-    def done(self) -> None:
-        with self._lock:
-            self._in_flight -= 1
-
-    def idle(self) -> bool:
-        return self._in_flight == 0
+                with lock:
+                    self._pending -= 1
 
 
 class SimSwitch:
@@ -178,7 +169,8 @@ class SimSwitch:
     def __init__(self, state: SwitchState, scheduler: _Scheduler):
         self.state = state
         self.dpid = state.dpid
-        self._q = _Mailbox(scheduler, self, "_dispatch", f"switch {self.dpid}")
+        self.name = f"switch {self.dpid}"
+        self._scheduler = scheduler
         self._port_sinks: dict[int, Callable[[Frame], None]] = {}
         self._uplink: Callable[[bytes], None] | None = None
         self._on_expired: Callable[[int, list[FlowRule]], None] | None = None
@@ -196,37 +188,34 @@ class SimSwitch:
         """Attach the controller channel and say hello from the fabric thread."""
         self._uplink = uplink
         self._on_expired = on_expired
-        self._q.put(("hello",))
+        self._scheduler.put(self, "_dispatch", ("hello",))
 
     # -- actor inputs -------------------------------------------------------
 
     def inject(self, in_port: int, frame: Frame) -> None:
         """A frame arrives on ``in_port`` (from a link or attached host)."""
-        self._q.put(("frame", in_port, frame))
+        self._scheduler.put(self, "_dispatch", ("frame", in_port, frame))
 
     def control_rx(self, data: bytes) -> None:
         """Southbound bytes from the controller."""
-        self._q.put(("sb", data))
+        self._scheduler.put(self, "_dispatch", ("sb", data))
 
     def set_port_admin(self, port: int, up: bool) -> None:
-        self._q.put(("port", port, up))
+        self._scheduler.put(self, "_dispatch", ("port", port, up))
 
     def request_rules(self, timeout: float = 2.0) -> list[FlowRule]:
         """Synchronous table snapshot, ordered behind queued work.
 
         Raises RuntimeError on the fabric thread, which would wait on itself.
         """
-        if self._q.scheduler.on_thread():
+        if self._scheduler.on_thread():
             raise RuntimeError(
                 f"switch {self.dpid}: request_rules on the fabric thread would deadlock "
                 "waiting for that thread to answer"
             )
         reply: SimpleQueue = SimpleQueue()
-        self._q.put(("query", reply))
+        self._scheduler.put(self, "_dispatch", ("query", reply))
         return reply.get(timeout=timeout)
-
-    def idle(self) -> bool:
-        return self._q.idle()
 
     # -- handler ------------------------------------------------------------
 
@@ -265,7 +254,7 @@ class SimSwitch:
                     self.state.install(replace(msg.rule), now)
             if msg.op is not FlowModOp.REMOVE and msg.rule.hard_timeout_s > 0:
                 # handlers run on the scheduler thread, as call_later requires
-                self._q.scheduler.call_later(msg.rule.hard_timeout_s, self._expire)
+                self._scheduler.call_later(msg.rule.hard_timeout_s, self._expire)
         else:
             log.warning("switch %d: unexpected southbound %r", self.dpid, type(msg))
 
@@ -315,13 +304,6 @@ class ConnReport:
         return 8.0 * self.bytes_acked / self.duration_s if self.duration_s > 0 else 0.0
 
 
-class _Waiter:
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
 class SimHost:
     """End host actor: inbox plus ping and stop-and-wait stream generators."""
 
@@ -333,24 +315,20 @@ class SimHost:
         inbox_limit: int | None = None,
     ):
         self.host_id = host_id
+        self.name = f"host {host_id}"
         self.mac = mac
         self.attachment: tuple[SimSwitch, int] | None = None
         self.inbox: list[Frame] = []
         self._inbox_limit = inbox_limit
         self.frames_received = 0
-        self.bytes_received = 0
-        self._q = _Mailbox(scheduler, self, "_receive", f"host {host_id}")
+        self._scheduler = scheduler
         self._lock = threading.Lock()
         self._ping_seq = itertools.count(1)
-        self._ping_waiters: dict[int, _Waiter] = {}
-        self._ack_waiters: dict[tuple[int, int], _Waiter] = {}
-        self._stream_rx: dict[tuple[MacAddr, int], int] = {}
+        self._ping_waiters: dict[int, threading.Event] = {}
+        self._ack_waiters: dict[tuple[int, int], threading.Event] = {}
 
     def attach(self, switch: SimSwitch, port: int) -> None:
         self.attachment = (switch, port)
-
-    def idle(self) -> bool:
-        return self._q.idle()
 
     # -- sending ------------------------------------------------------------
 
@@ -382,14 +360,14 @@ class SimHost:
         samples = []
         for i in range(count):
             seq = next(self._ping_seq)
-            waiter = _Waiter()
+            waiter = threading.Event()
             start = time.monotonic()
             with self._lock:
                 self._ping_waiters[seq] = waiter
             head = PING_PREFIX + _PING_HEAD.pack(seq, time.time_ns() // 1000)
             payload = head + b"\x00" * max(0, payload_size - len(head))
             self.send_frame(dst, ETHERTYPE_DATA, payload)
-            ok = waiter.event.wait(timeout)
+            ok = waiter.wait(timeout)
             rtt = time.monotonic() - start if ok else None
             with self._lock:
                 self._ping_waiters.pop(seq, None)
@@ -447,14 +425,14 @@ class SimHost:
         body = b"\x00" * max(0, segment_bytes - len(SEG_PREFIX) - _SEGMENT_HEAD.size)
         while time.monotonic() < deadline:
             payload = SEG_PREFIX + _SEGMENT_HEAD.pack(report.conn_id, seq) + body
-            waiter = _Waiter()
+            waiter = threading.Event()
             key = (report.conn_id, seq)
             with self._lock:
                 self._ack_waiters[key] = waiter
             acked = False
             while time.monotonic() < deadline:
                 self.send_frame(dst, ETHERTYPE_DATA, payload)
-                if waiter.event.wait(min(rto, max(0.0, deadline - time.monotonic()))):
+                if waiter.wait(min(rto, max(0.0, deadline - time.monotonic()))):
                     acked = True
                     break
                 if time.monotonic() < deadline:
@@ -471,7 +449,7 @@ class SimHost:
 
     def deliver(self, frame: Frame) -> None:
         """Entry point for frames arriving from the attachment port."""
-        self._q.put(frame)
+        self._scheduler.put(self, "_receive", frame)
 
     def _receive(self, frame: Frame) -> None:
         if frame.ethertype == ETHERTYPE_DISCOVERY:
@@ -479,7 +457,6 @@ class SimHost:
         if frame.dst != self.mac and not frame.dst.is_broadcast:
             return  # not for us (a flood copy of someone else's traffic)
         self.frames_received += 1
-        self.bytes_received += len(frame.payload)
         payload = frame.payload
         if payload.startswith(PING_PREFIX):
             self.send_frame(frame.src, ETHERTYPE_DATA, PONG_PREFIX + payload[4:])
@@ -489,13 +466,9 @@ class SimHost:
             with self._lock:
                 waiter = self._ping_waiters.get(seq)
             if waiter:
-                waiter.event.set()
+                waiter.set()
             return
         if payload.startswith(SEG_PREFIX):
-            conn_id, seq = _SEGMENT_HEAD.unpack_from(payload, len(SEG_PREFIX))
-            key = (frame.src, conn_id)
-            if self._stream_rx.get(key, -1) + 1 == seq:
-                self._stream_rx[key] = seq
             self.send_frame(frame.src, ETHERTYPE_DATA, ACK_PREFIX + payload[4:12])
             return
         if payload.startswith(ACK_PREFIX):
@@ -503,7 +476,7 @@ class SimHost:
             with self._lock:
                 waiter = self._ack_waiters.get((conn_id, seq))
             if waiter:
-                waiter.event.set()
+                waiter.set()
             return
         if self._inbox_limit is None or len(self.inbox) < self._inbox_limit:
             self.inbox.append(frame)
@@ -543,8 +516,9 @@ class Fabric:
         if self.link_latency <= 0:
             return lambda frame: peer.inject(peer_port, frame)
         call_later, latency = self._scheduler.call_later, self.link_latency
-        # switch handlers call link sinks, so this runs on the scheduler thread
-        return lambda frame: call_later(latency, lambda: peer.inject(peer_port, frame))
+        # switch handlers call link sinks, so this runs on the scheduler thread;
+        # the frame stays pending work until inject has queued it at the peer
+        return lambda frame: call_later(latency, lambda: peer.inject(peer_port, frame), pending=True)
 
     def start(self) -> None:
         self._scheduler.start()
@@ -577,13 +551,13 @@ class Fabric:
         raise KeyError(f"no link at {a_dpid}:{a_port}")
 
     def quiesce(self, timeout: float = 5.0) -> bool:
-        """Wait until no actor has work queued or running; True on success."""
+        """Wait until the data plane has no work queued, running or on a delayed
+        link for three samples 2 ms apart; True on success. The calm window
+        covers work that crosses other threads, which the count cannot see."""
         deadline = time.monotonic() + timeout
         calm = 0
         while time.monotonic() < deadline:
-            if all(sw.idle() for sw in self.switches.values()) and all(
-                h.idle() for h in self.hosts.values()
-            ):
+            if self._scheduler.idle():
                 calm += 1
                 if calm >= 3:
                     return True

@@ -14,12 +14,13 @@ A protocol supplies only its tags, a ``dispatch(body) -> reply`` function
 that raises on failure, and its status table. The server answers each
 connection's requests in order on a thread of its own; it closes a
 connection whose request length exceeds ``MAX_REQUEST_BYTES`` or whose peer
-hangs up mid-frame. The p2p push stream writes events in the same
-``u32 len | body`` frame.
+hangs up mid-frame, and stopping it closes every connection it still has.
+The p2p push stream writes events in the same ``u32 len | body`` frame.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import socketserver
@@ -68,15 +69,44 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 class TcpServer(socketserver.ThreadingTCPServer):
+    """A daemon thread per connection. Closing the server sets ``stopping``,
+    shuts down every connection still open and waits for its handler."""
+
     allow_reuse_address = True
-    daemon_threads = True
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self.stopping = False
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        # registered before it runs, so server_close sees every connection
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._conns_lock:
+            self._conns[request] = thread
+        thread.start()
 
     def process_request_thread(self, request, client_address) -> None:
         # unlike the stdlib's, lets a crashed handler reach threading.excepthook
         try:
             self.finish_request(request, client_address)
         finally:
+            with self._conns_lock:
+                del self._conns[request]
             self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        self.stopping = True
+        super().server_close()
+        with self._conns_lock:
+            conns = list(self._conns.items())
+        for sock, thread in conns:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+            thread.join(timeout=2)
 
 
 class ServerThread:

@@ -191,11 +191,6 @@ class P2pStreamServer(ServerThread):
     def __init__(self, distributor: P2pDistributor, host: str = "127.0.0.1", port: int = 0):
         super().__init__(TcpServer((host, port), _P2pStreamHandler), "p2p-server")
         self._server.distributor = distributor  # type: ignore[attr-defined]
-        self._server.stopping = False  # type: ignore[attr-defined]
-
-    def stop(self) -> None:
-        self._server.stopping = True  # type: ignore[attr-defined]
-        super().stop()
 
 
 class P2pStreamClient:
@@ -216,6 +211,7 @@ class P2pStreamClient:
         self._buffer = b""
 
     def get(self, timeout: float | None = None) -> bytes | None:
+        """Next encoded event; None on timeout; ConnectionError once the stream is lost."""
         self._sock.settimeout(timeout)
         try:
             while True:
@@ -227,12 +223,12 @@ class P2pStreamClient:
                         return data
                 chunk = self._sock.recv(65536)
                 if not chunk:
-                    return None
+                    raise ConnectionError("closed by the server")
                 self._buffer += chunk
-        except (socket.timeout, TimeoutError):
+        except TimeoutError:
             return None
-        except OSError:
-            return None
+        except OSError as exc:
+            raise ConnectionError(f"p2p stream lost: {exc}") from exc
 
     def close(self) -> None:
         try:

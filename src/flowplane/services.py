@@ -292,22 +292,21 @@ class TopologyService:
 
     def on_event(self, event: Event) -> GraphDelta:
         delta = GraphDelta()
-        reports: list[tuple[int, int, int, int, bool]] = []
         with self._lock:
             if isinstance(event, TopologyDeviceEvent):
-                self._on_device(event, delta, reports)
+                self._on_device(event, delta)
             elif isinstance(event, TopologyPortEvent):
-                self._on_port(event, delta, reports)
+                self._on_port(event, delta)
             elif isinstance(event, PacketExceptionEvent):
-                self._on_packet(event, delta, reports)
+                self._on_packet(event, delta)
             else:
                 delta.ignored = True
             if not delta.empty:
                 self._map_changed()
-        self._report(reports)
+        self._report(delta)
         return delta
 
-    def _on_device(self, event, delta, reports) -> None:
+    def _on_device(self, event, delta) -> None:
         if event.up:
             if event.dpid not in self._switches:
                 self._switches.add(event.dpid)
@@ -318,24 +317,20 @@ class TopologyService:
                 self._switches.discard(event.dpid)
                 self._ports.pop(event.dpid, None)
                 delta.switches_removed.append(event.dpid)
-                self._drop_links(
-                    lambda sd, sp, dd, dp: event.dpid in (sd, dd), delta, reports
-                )
+                self._drop_links(lambda sd, sp, dd, dp: event.dpid in (sd, dd), delta)
                 for mac in [m for m, loc in self._hosts.items() if loc.dpid == event.dpid]:
                     del self._hosts[mac]
 
-    def _on_port(self, event, delta, reports) -> None:
+    def _on_port(self, event, delta) -> None:
         ports = self._ports.setdefault(event.dpid, set())
         if event.up:
             ports.add(event.port)
         else:
             ports.discard(event.port)
             end = (event.dpid, event.port)
-            self._drop_links(
-                lambda sd, sp, dd, dp: (sd, sp) == end or (dd, dp) == end, delta, reports
-            )
+            self._drop_links(lambda sd, sp, dd, dp: (sd, sp) == end or (dd, dp) == end, delta)
 
-    def _on_packet(self, event, delta, reports) -> None:
+    def _on_packet(self, event, delta) -> None:
         frame = event.frame
         if frame.ethertype == ETHERTYPE_DISCOVERY:
             probe = DiscoveryPayload.parse(frame.payload)
@@ -343,15 +338,13 @@ class TopologyService:
                 self.stats.malformed_discovery += 1
                 delta.ignored = True
                 return
-            self._add_link(
-                probe.origin_dpid, probe.origin_port, event.dpid, event.in_port, delta, reports
-            )
+            self._add_link(probe.origin_dpid, probe.origin_port, event.dpid, event.in_port, delta)
         elif frame.ethertype == ETHERTYPE_ARP and frame.dst.is_broadcast:
             self._learn(frame.src, event.dpid, event.in_port, delta)
         else:
             delta.ignored = True
 
-    def _add_link(self, sd, sp, dd, dp, delta, reports) -> None:
+    def _add_link(self, sd, sp, dd, dp, delta) -> None:
         if sd not in self._switches or dd not in self._switches:
             delta.ignored = True
             return
@@ -362,14 +355,13 @@ class TopologyService:
             return  # refresh only
         self._links[key] = (dd, dp)
         delta.links_added.append((sd, sp, dd, dp))
-        reports.append((sd, sp, dd, dp, True))
         # a port now known to face a switch cannot hold a host
         for mac in [
             m for m, loc in self._hosts.items() if (loc.dpid, loc.port) in (key, (dd, dp))
         ]:
             del self._hosts[mac]
 
-    def _drop_links(self, predicate, delta, reports) -> None:
+    def _drop_links(self, predicate, delta) -> None:
         doomed = [
             (sd, sp, dd, dp)
             for (sd, sp), (dd, dp) in self._links.items()
@@ -379,7 +371,6 @@ class TopologyService:
             del self._links[(sd, sp)]
             self._link_round.pop((sd, sp), None)
             delta.links_removed.append((sd, sp, dd, dp))
-            reports.append((sd, sp, dd, dp, False))
 
     def _learn(self, mac: MacAddr, dpid: int, port: int, delta) -> None:
         if mac.is_broadcast or dpid not in self._switches:
@@ -402,12 +393,15 @@ class TopologyService:
         self._graph = None
         self._link_ports = None
 
-    def _report(self, reports) -> None:
-        for sd, sp, dd, dp, up in reports:
-            try:
-                self.core.report_link(sd, sp, dd, dp, up)
-            except Exception:
-                log.warning("link report failed", exc_info=True)
+    def _report(self, delta: GraphDelta) -> None:
+        # one event or discovery round adds links or removes them, never both,
+        # so this reports them in the order they changed
+        for links, up in ((delta.links_added, True), (delta.links_removed, False)):
+            for sd, sp, dd, dp in links:
+                try:
+                    self.core.report_link(sd, sp, dd, dp, up)
+                except Exception:
+                    log.warning("link report failed", exc_info=True)
 
     # -- host learning API (used by the forwarding service) --------------------
 
@@ -425,7 +419,6 @@ class TopologyService:
 
     def run_discovery_round(self) -> None:
         """Probe every known switch port; prune links gone quiet."""
-        reports: list[tuple[int, int, int, int, bool]] = []
         delta = GraphDelta()
         with self._lock:
             self._round += 1
@@ -437,7 +430,6 @@ class TopologyService:
                 dd, dp = self._links.pop((sd, sp))
                 self._link_round.pop((sd, sp), None)
                 delta.links_removed.append((sd, sp, dd, dp))
-                reports.append((sd, sp, dd, dp, False))
             if stale:
                 self._map_changed()
             targets = [
@@ -445,7 +437,7 @@ class TopologyService:
                 for dpid in sorted(self._switches)
                 for port in sorted(self._ports.get(dpid, ()))
             ]
-        self._report(reports)
+        self._report(delta)
         try:
             for dpid, port, rnd in targets:
                 probe = DiscoveryPayload(origin_dpid=dpid, origin_port=port, round=rnd)

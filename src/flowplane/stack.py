@@ -104,7 +104,8 @@ class _SubscriberLoop:
     """Thread decoding an event source into one service; stop() closes the source.
 
     An event that fails to decode or that the service raises on is logged,
-    counted in ``errors`` and skipped; the loop keeps consuming.
+    counted in ``errors`` and skipped; the loop keeps consuming. A source
+    that raises (a lost connection) is logged and counted, and ends the loop.
     """
 
     def __init__(self, source, service, name: str):
@@ -121,15 +122,19 @@ class _SubscriberLoop:
         self._source.close()
 
     def _run(self) -> None:
-        while self._running:
-            data = self._source.get(timeout=0.05)
-            if data is None:
-                continue
-            try:
-                self._service.on_event(decode_event(data))
-            except Exception:
-                log.exception("%s failed on an event", self._thread.name)
-                self.errors += 1
+        try:
+            while self._running:
+                data = self._source.get(timeout=0.05)
+                if data is None:
+                    continue
+                try:
+                    self._service.on_event(decode_event(data))
+                except Exception:
+                    log.exception("%s failed on an event", self._thread.name)
+                    self.errors += 1
+        except Exception:
+            log.exception("%s: event source failed; stopping", self._thread.name)
+            self.errors += 1
 
 
 def attach_services(core: Core, events, topo, fwd, teardown: ExitStack,

@@ -27,6 +27,7 @@ from flowplane.stack import (
     _SubscriberLoop,
     attach_services,
     converge,
+    event_source,
     serve_events,
     start_core,
 )
@@ -337,6 +338,23 @@ class TestStandaloneServices:
         finally:
             loop.stop()
         assert len([r for r in caplog.records if r.name == "flowplane.stack"]) == 2
+
+    @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])
+    def test_lost_event_connection_ends_the_loop(self, mode, caplog):
+        caplog.set_level(logging.ERROR, logger="flowplane.stack")
+        with ExitStack() as teardown:
+            core, backend = start_core(CoreConfig(mode=mode), teardown)
+            server = serve_events(mode, backend, "127.0.0.1", 0, teardown)
+            source = event_source(mode, server.address, TOPO_KINDS, "topo", poll_interval=0.001)
+            loop = _SubscriberLoop(source, _Recorder(), "test-loop")
+            teardown.callback(loop.stop)
+            if mode is DistMode.P2P:
+                assert wait_until(lambda: backend.subscription_count() == 1)
+            server.stop()
+            loop._thread.join(timeout=1)
+            assert not loop._thread.is_alive()
+            assert loop.errors == 1
+            assert len([r for r in caplog.records if r.name == "flowplane.stack"]) == 1
 
     @pytest.mark.parametrize("remote", [False, True], ids=["inproc", "socket"])
     @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])

@@ -319,6 +319,32 @@ class TestQuiesce:
         assert chain3.quiesce(timeout=2)
 
 
+class TestPendingWork:
+    """What the scheduler counts as pending work, and what it does not."""
+
+    def test_frame_on_a_delayed_link_is_pending(self):
+        fabric = Fabric(build_linear(2), link_latency=0.05)
+        install_path_rules(fabric)
+        with fabric:
+            assert fabric.quiesce(timeout=2)
+            h1, h2 = fabric.hosts["h1"], fabric.hosts["h2"]
+            sent = time.monotonic()
+            h1.send_frame(h2.mac, ETHERTYPE_DATA, b"delayed")
+            assert fabric.quiesce(timeout=2)
+            assert time.monotonic() - sent >= 0.05
+            assert [f.payload for f in h2.inbox] == [b"delayed"]
+
+    def test_unexpired_rule_deadline_is_not_pending(self, chain3):
+        sw = chain3.switches[1]
+        sw.connect_controller(lambda data: None)
+        chain3.start()
+        rule = FlowRule(rule_id=7, priority=1, match=Match(eth_dst=MacAddr.host(9)),
+                        actions=(), hard_timeout_s=10)
+        sw.control_rx(encode_sb(FlowMod(dpid=1, op=FlowModOp.ADD, rule=rule)))
+        assert chain3.quiesce(timeout=0.5)
+        assert [r.rule_id for r in sw.request_rules()] == [7]
+
+
 @pytest.mark.parametrize("latency", [0.0, 0.005], ids=["direct", "delayed"])
 def test_whole_data_plane_runs_on_one_thread(latency):
     fabric = Fabric(build_fat_tree(8), link_latency=latency)  # 80 switches, 128 hosts

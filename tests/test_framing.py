@@ -548,3 +548,21 @@ class TestMalformedInput:
         finally:
             client.close()
             peer.close()
+
+
+class TestStop:
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_stopped_server_ends_its_connections(self, protocol, serve):
+        server, client_cls = serve(protocol)
+        before = set(threading.enumerate())
+        client = client_cls(server.address)
+        try:
+            assert WELL_FORMED[protocol](client)
+            handlers = set(threading.enumerate()) - before
+            assert handlers
+            server.stop()
+            assert not [t for t in handlers if t.is_alive()]
+            with pytest.raises(OSError):  # ConnectionError among them
+                WELL_FORMED[protocol](client)
+        finally:
+            client.close()
