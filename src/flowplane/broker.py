@@ -12,13 +12,17 @@ The broker also runs out of process over the shared framing (see
 
     tags:   1 publish          topic str | u32 len | record
                                -> offset u64
-            2 poll             consumer str | topic str | from_offset u64
-                               | max_records u32 | max_wait_micros u64
-                               -> u32 count | count x (offset u64 | u32 len | record)
             3 commit           consumer str | topic str | offset u64
             4 committed-offset consumer str | topic str
                                -> u8 0, or u8 1 | offset u64
+            5 poll             consumer str | u16 n | n x (topic str | from_offset u64)
+                               | max_records u32 | max_wait_micros u64
+                               -> u32 count | count x (topic index u16 | offset u64
+                                                       | u32 len | record)
     status: 1 BrokerError, 2 OffsetOutOfRangeError, 3 RecordTooLargeError
+
+A poll names each topic once; the reply's topic index points into the
+request's list. Tag 2 was a poll of one topic and is now unknown.
 
 ``BrokerClient`` speaks that protocol and exposes the same operation
 contract as ``Broker``, so ``BrokerConsumer`` works over either. Consumers
@@ -28,17 +32,17 @@ transport, is the dominant latency of this backend.
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter
 
 from .framing import MAX_RECORD_BYTES, CallClient, FramedServer, frame, pack_str, unpack_str
-from .wire import U8, U32, U64, Reader, event_seq, take
+from .wire import U8, U16, U32, U64, Reader, take
 
 DEFAULT_POLL_INTERVAL = 0.001
 
@@ -57,30 +61,26 @@ class RecordTooLargeError(BrokerError):
 
 @dataclass(frozen=True)
 class Record:
+    topic: str
     offset: int
     data: bytes
-
-
-@dataclass
-class _TopicLog:
-    name: str
-    records: list[Record] = field(default_factory=list)
+    # the broker-wide append position; it orders a poll over several topics
+    # and is not sent over the socket
+    index: int = field(default=0, compare=False)
 
 
 class Broker:
     """In-process event broker; all operations are thread-safe."""
 
     def __init__(self) -> None:
-        self._topics: dict[str, _TopicLog] = {}
+        self._topics: dict[str, list[Record]] = {}
         self._committed: dict[tuple[str, str], int] = {}
+        self._next_index = 0
         self._lock = threading.Lock()
         self._appended = threading.Condition(self._lock)
 
-    def _topic(self, name: str) -> _TopicLog:
-        topic = self._topics.get(name)
-        if topic is None:
-            topic = self._topics[name] = _TopicLog(name)
-        return topic
+    def _log(self, topic: str) -> list[Record]:
+        return self._topics.setdefault(topic, [])
 
     def publish(self, topic: str, data: bytes) -> int:
         """Append a record; returns its offset (= previous log length)."""
@@ -89,47 +89,58 @@ class Broker:
                 f"record of {len(data)} bytes exceeds {MAX_RECORD_BYTES}"
             )
         with self._lock:
-            t = self._topic(topic)
-            offset = len(t.records)
-            t.records.append(Record(offset=offset, data=data))
+            records = self._log(topic)
+            offset = len(records)
+            records.append(Record(topic, offset, data, self._next_index))
+            self._next_index += 1
             self._appended.notify_all()
             return offset
 
     def poll(
         self,
         consumer_id: str,
-        topic: str,
-        from_offset: int,
+        offsets: dict[str, int],
         max_records: int = 64,
         max_wait: float = 0.0,
     ) -> list[Record]:
-        """Records from ``from_offset`` in offset order, up to ``max_records``.
+        """Up to ``max_records`` records of the topics in ``offsets``, each
+        topic read from its offset, in the order the broker appended them.
 
-        Blocks up to ``max_wait`` seconds when nothing is available, then
+        The result is a prefix of the unread records: a topic's slice stops
+        short only after ``max_records`` records that all came earlier.
+        Blocks up to ``max_wait`` seconds when no topic has a record, then
         returns an empty batch.
         """
+        if not offsets:
+            raise BrokerError("poll names no topic")
         deadline = time.monotonic() + max_wait
         with self._lock:
-            t = self._topic(topic)
-            if from_offset > len(t.records):
-                raise OffsetOutOfRangeError(
-                    f"offset {from_offset} beyond log length {len(t.records)}"
-                )
-            while from_offset == len(t.records):
+            while True:
+                slices = []
+                for topic, start in offsets.items():
+                    records = self._log(topic)
+                    if start > len(records):
+                        raise OffsetOutOfRangeError(
+                            f"offset {start} beyond log length {len(records)}"
+                        )
+                    if start < len(records):
+                        slices.append(records[start : start + max_records])
+                if slices:
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return []
                 self._appended.wait(timeout=remaining)
-            return t.records[from_offset : from_offset + max_records]
+        if len(slices) == 1:
+            return slices[0]
+        return sorted(chain.from_iterable(slices), key=attrgetter("index"))[:max_records]
 
     def commit(self, consumer_id: str, topic: str, offset: int) -> None:
         """Record ``offset`` as the consumer's next read position."""
         with self._lock:
-            t = self._topic(topic)
-            if offset > len(t.records):
-                raise OffsetOutOfRangeError(
-                    f"cannot commit {offset} beyond log length {len(t.records)}"
-                )
+            length = len(self._log(topic))
+            if offset > length:
+                raise OffsetOutOfRangeError(f"cannot commit {offset} beyond log length {length}")
             self._committed[(consumer_id, topic)] = offset
 
     def committed(self, consumer_id: str, topic: str) -> int | None:
@@ -140,12 +151,11 @@ class Broker:
 
     def record_count(self, topic: str) -> int:
         with self._lock:
-            t = self._topics.get(topic)
-            return len(t.records) if t else 0
+            return len(self._topics.get(topic, ()))
 
     def total_records(self) -> int:
         with self._lock:
-            return sum(len(t.records) for t in self._topics.values())
+            return sum(map(len, self._topics.values()))
 
     def topics(self) -> list[str]:
         with self._lock:
@@ -160,10 +170,10 @@ class BrokerConsumer:
     out. Empty polls sleep ``poll_interval`` before the next attempt, which
     makes the interval the floor of this backend's delivery latency.
 
-    Over several topics each refill is merged by the ``seq`` in the events'
-    fixed header, so events arrive in the order the core stamped them
-    whatever topic they came from. A record that is not an event keeps its
-    place in its topic and is handed out like any other.
+    Each refill is one poll over all the consumer's topics, so records are
+    handed out ordered by the broker's append order whatever topic they
+    came from. The core publishes under its seq lock, so that order is the
+    order it stamped its events in. Record bytes are never read here.
     """
 
     def __init__(
@@ -184,18 +194,21 @@ class BrokerConsumer:
         for t in self.topics:
             start = broker.committed(consumer_id, t) if resume else None
             self._offsets[t] = start if start is not None else 0
-        self._buffer: deque[tuple[str, Record]] = deque()
+        self._buffer: deque[Record] = deque()
 
     def get(self, timeout: float | None = 0.0) -> bytes | None:
         """Next record's bytes across this consumer's topics, or None."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._buffer:
-                topic, record = self._buffer.popleft()
-                self._offsets[topic] = record.offset + 1
-                self.broker.commit(self.consumer_id, topic, record.offset + 1)
+                record = self._buffer.popleft()
+                self._offsets[record.topic] = record.offset + 1
+                self.broker.commit(self.consumer_id, record.topic, record.offset + 1)
                 return record.data
-            if self._refill():
+            self._buffer.extend(
+                self.broker.poll(self.consumer_id, self._offsets, self.batch_size, 0.0)
+            )
+            if self._buffer:
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 return None
@@ -206,56 +219,20 @@ class BrokerConsumer:
         if isinstance(self.broker, CallClient):
             self.broker.close()
 
-    def _refill(self) -> bool:
-        batches = []
-        for t in self.topics:
-            batch = self.broker.poll(self.consumer_id, t, self._offsets[t], self.batch_size, 0.0)
-            if batch:
-                batches.append((t, batch))
-        if len(batches) == 1:
-            t, batch = batches[0]
-            self._buffer.extend((t, r) for r in batch)
-        elif batches:
-            keyed = [(t, batch, _merge_keys(batch)) for t, batch in batches]
-            # a full batch may stop short of records that precede another topic's:
-            # hand out nothing past its last key, and poll the rest again
-            full_ends = [keys[-1] for _, batch, keys in keyed if len(batch) >= self.batch_size]
-            horizon = min(full_ends, default=math.inf)
-            merged = [(k, t, r) for t, batch, keys in keyed for k, r in zip(keys, batch) if k <= horizon]
-            merged.sort(key=itemgetter(0))
-            self._buffer.extend((t, r) for _, t, r in merged)
-        return bool(batches)
-
-
-def _merge_keys(batch: list[Record]) -> list[int]:
-    """Each record's seq, kept from falling below an earlier record's key.
-
-    A record that is not an event takes the key before it, so the keys never
-    fall within a topic: ``get`` then never moves a topic's offset past a
-    record it has not handed out yet, and the record reaches the consumer,
-    whose decoder rejects it.
-    """
-    keys, key = [], 0
-    for record in batch:
-        seq = event_seq(record.data)
-        if seq is not None and seq > key:
-            key = seq
-        keys.append(key)
-    return keys
-
 
 # ---------------------------------------------------------------------------
 # Socket transport
 # ---------------------------------------------------------------------------
 
 _REQ_PUBLISH = 1
-_REQ_POLL = 2
 _REQ_COMMIT = 3
 _REQ_COMMITTED = 4
+_REQ_POLL = 5
 
 _ERRORS = {1: BrokerError, 2: OffsetOutOfRangeError, 3: RecordTooLargeError}
 
-_POLL = struct.Struct(">QIQ")  # from_offset, max_records, max_wait_micros
+_POLL = struct.Struct(">IQ")  # max_records, max_wait_micros
+_POLLED = struct.Struct(">HQ")  # a reply record's topic index and offset
 
 
 def _unpack_record(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -271,10 +248,20 @@ def _dispatch(broker: Broker, body: bytes) -> bytes:
         topic = r.read(unpack_str)
         return U64.pack(broker.publish(topic, r.read(_unpack_record)))
     if tag == _REQ_POLL:
-        consumer, topic = r.read(unpack_str), r.read(unpack_str)
-        from_offset, max_records, wait_micros = r.read(_POLL)
-        batch = broker.poll(consumer, topic, from_offset, max_records, wait_micros / 1e6)
-        return U32.pack(len(batch)) + b"".join(U64.pack(x.offset) + frame(x.data) for x in batch)
+        consumer = r.read(unpack_str)
+        (n,) = r.read(U16)
+        offsets = {}
+        for _ in range(n):
+            topic = r.read(unpack_str)
+            if topic in offsets:
+                raise BrokerError(f"poll names topic {topic!r} twice")
+            (offsets[topic],) = r.read(U64)
+        max_records, wait_micros = r.read(_POLL)
+        batch = broker.poll(consumer, offsets, max_records, wait_micros / 1e6)
+        index = {topic: i for i, topic in enumerate(offsets)}
+        return U32.pack(len(batch)) + b"".join(
+            _POLLED.pack(index[x.topic], x.offset) + frame(x.data) for x in batch
+        )
     if tag == _REQ_COMMIT:
         consumer, topic = r.read(unpack_str), r.read(unpack_str)
         broker.commit(consumer, topic, *r.read(U64))
@@ -311,20 +298,25 @@ class BrokerClient(CallClient):
     def poll(
         self,
         consumer_id: str,
-        topic: str,
-        from_offset: int,
+        offsets: dict[str, int],
         max_records: int = 64,
         max_wait: float = 0.0,
     ) -> list[Record]:
+        topics = list(offsets)
         body = (
             bytes([_REQ_POLL])
             + pack_str(consumer_id)
-            + pack_str(topic)
-            + _POLL.pack(from_offset, max_records, int(max_wait * 1e6))
+            + U16.pack(len(topics))
+            + b"".join(pack_str(t) + U64.pack(offsets[t]) for t in topics)
+            + _POLL.pack(max_records, int(max_wait * 1e6))
         )
         r = Reader(self._call(body))
         (count,) = r.read(U32)
-        return [Record(offset=r.read(U64)[0], data=r.read(_unpack_record)) for _ in range(count)]
+        records = []
+        for _ in range(count):
+            i, offset = r.read(_POLLED)
+            records.append(Record(topics[i], offset, r.read(_unpack_record)))
+        return records
 
     def commit(self, consumer_id: str, topic: str, offset: int) -> None:
         self._call(

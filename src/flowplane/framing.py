@@ -33,7 +33,8 @@ from .wire import U16, U32, DecodeError, Reader, take
 log = logging.getLogger(__name__)
 
 MAX_RECORD_BYTES = 64 * 1024
-# The largest legal request is a broker publish: tag, longest topic, record.
+# Room for the largest broker publish: tag, longest topic, record. A broker
+# poll naming very many topics can exceed it and is refused.
 MAX_REQUEST_BYTES = 1 + 2 + 0xFFFF + 4 + MAX_RECORD_BYTES
 
 STATUS_OK = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from http.client import HTTPConnection
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 from .core import (
     CoreError,
@@ -28,7 +28,7 @@ from .core import (
     UnknownPortError,
     UnknownRuleError,
 )
-from .framing import ServerThread
+from .framing import ServerThread, TcpServer
 from .wire import Action, ActionKind, FlowModOp, FlowRule, MacAddr, Match
 
 log = logging.getLogger(__name__)
@@ -215,10 +215,11 @@ class _RestHandler(BaseHTTPRequestHandler):
 
 
 class RestServer(ServerThread):
-    """Threaded HTTP listener bound to the given address (port 0 = ephemeral)."""
+    """Threaded HTTP listener bound to the given address (port 0 = ephemeral);
+    stopping it also closes its established keep-alive connections."""
 
     def __init__(self, core, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(ThreadingHTTPServer((host, port), _RestHandler), "rest-server")
+        super().__init__(TcpServer((host, port), _RestHandler), "rest-server")
         self._server.core = core  # type: ignore[attr-defined]
 
 

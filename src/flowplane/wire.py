@@ -691,20 +691,6 @@ def decode_event(data: bytes) -> Event:
     return _decode(data, EVENT_MAGIC, _EVENT_DECODERS, "event")
 
 
-_EVENT_SEQ = struct.Struct(_HEADER.format + "Q")  # the envelope, then the seq every event starts with
-
-
-def event_seq(data: bytes) -> int | None:
-    """The seq of an encoded event, read at its fixed offset without decoding;
-    None when ``data`` is too short for one or lacks an event's envelope."""
-    if len(data) < _EVENT_SEQ.size:
-        return None
-    magic, version, _tag, plen, seq = _EVENT_SEQ.unpack_from(data)
-    if magic != EVENT_MAGIC or version != WIRE_VERSION or plen != len(data) - _HEADER.size:
-        return None
-    return seq
-
-
 # ---------------------------------------------------------------------------
 # Southbound codec
 # ---------------------------------------------------------------------------

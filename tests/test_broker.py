@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,8 +12,10 @@ from flowplane.broker import (
     Broker,
     BrokerClient,
     BrokerConsumer,
+    BrokerError,
     BrokerServer,
     OffsetOutOfRangeError,
+    Record,
     RecordTooLargeError,
 )
 from flowplane.core import Core, CoreConfig, DistMode
@@ -41,6 +44,12 @@ def wait_until(predicate, timeout=5.0, interval=0.005):
             return True
         time.sleep(interval)
     return False
+
+
+def _arp_packet_in():
+    return PacketExceptionEvent(
+        dpid=1, in_port=1, frame=Frame(BROADCAST, MacAddr.host(1), ETHERTYPE_ARP)
+    )
 
 
 class _Recorder:
@@ -76,7 +85,7 @@ class TestLogContract:
     def test_poll_returns_byte_identical_records(self):
         broker = Broker()
         broker.publish("t", b"\x00\xffpayload")
-        (record,) = broker.poll("c", "t", 0)
+        (record,) = broker.poll("c", {"t": 0})
         assert record.offset == 0
         assert record.data == b"\x00\xffpayload"
 
@@ -84,25 +93,25 @@ class TestLogContract:
         broker = Broker()
         for i in range(5):
             broker.publish("t", bytes([i]))
-        batch = broker.poll("c", "t", 0, max_records=2)
+        batch = broker.poll("c", {"t": 0}, max_records=2)
         assert [r.offset for r in batch] == [0, 1]
 
     def test_poll_at_end_with_zero_wait_is_empty(self):
         broker = Broker()
         broker.publish("t", b"a")
-        assert broker.poll("c", "t", 1, max_wait=0.0) == []
+        assert broker.poll("c", {"t": 1}, max_wait=0.0) == []
 
     def test_poll_beyond_end_errors(self):
         broker = Broker()
         with pytest.raises(OffsetOutOfRangeError):
-            broker.poll("c", "t", 1)
+            broker.poll("c", {"t": 1})
 
     def test_poll_blocks_until_publish(self):
         broker = Broker()
         result = {}
 
         def consume():
-            result["batch"] = broker.poll("c", "t", 0, max_wait=5.0)
+            result["batch"] = broker.poll("c", {"t": 0}, max_wait=5.0)
 
         t = threading.Thread(target=consume)
         t.start()
@@ -114,7 +123,7 @@ class TestLogContract:
     def test_poll_wait_expires_to_empty_batch(self):
         broker = Broker()
         start = time.monotonic()
-        assert broker.poll("c", "t", 0, max_wait=0.05) == []
+        assert broker.poll("c", {"t": 0}, max_wait=0.05) == []
         assert time.monotonic() - start >= 0.05
 
     def test_oversized_record_rejected(self):
@@ -127,7 +136,7 @@ class TestLogContract:
         broker = Broker()
         broker.publish("t", b"early")
         time.sleep(0.01)
-        (record,) = broker.poll("latecomer", "t", 0)
+        (record,) = broker.poll("latecomer", {"t": 0})
         assert record.data == b"early"
 
     def test_replay_from_zero_returns_complete_history(self):
@@ -138,7 +147,7 @@ class TestLogContract:
         got = []
         offset = 0
         while True:
-            batch = broker.poll("replayer", "t", offset, max_records=7)
+            batch = broker.poll("replayer", {"t": offset}, max_records=7)
             if not batch:
                 break
             got.extend(r.data for r in batch)
@@ -149,12 +158,12 @@ class TestLogContract:
         broker = Broker()
         for i in range(10):
             broker.publish("t", bytes([i]))
-        fast = [r.data for r in broker.poll("fast", "t", 0, max_records=100)]
-        slow_first = broker.poll("slow", "t", 0, max_records=1)
+        fast = [r.data for r in broker.poll("fast", {"t": 0}, max_records=100)]
+        slow_first = broker.poll("slow", {"t": 0}, max_records=1)
         assert len(fast) == 10
         assert slow_first[0].data == bytes([0])
         # slow consumer's lag does not hide records from anyone
-        again = [r.data for r in broker.poll("fast", "t", 0, max_records=100)]
+        again = [r.data for r in broker.poll("fast", {"t": 0}, max_records=100)]
         assert again == fast
 
     def test_concurrent_publishes_yield_gapless_offsets(self):
@@ -176,6 +185,46 @@ class TestLogContract:
         # each producer saw its own offsets strictly increasing
         for r in results:
             assert r == sorted(r)
+
+
+class TestMultiTopicPoll:
+    def test_records_come_in_append_order_across_topics(self):
+        for broker in _in_process_and_over_socket():
+            for topic, data in (("b", b"1"), ("a", b"2"), ("b", b"3"), ("c", b"4"), ("a", b"5")):
+                broker.publish(topic, data)
+            batch = broker.poll("c", {"a": 0, "b": 0, "c": 0})
+            assert [(r.topic, r.offset, r.data) for r in batch] == [
+                ("b", 0, b"1"), ("a", 0, b"2"), ("b", 1, b"3"), ("c", 0, b"4"), ("a", 1, b"5"),
+            ]
+            # each topic from its own offset
+            assert [r.data for r in broker.poll("c", {"a": 1, "b": 2, "c": 0})] == [b"4", b"5"]
+
+    def test_a_short_batch_is_a_prefix_of_the_unread_records(self):
+        broker = Broker()
+        for i in range(6):
+            broker.publish("a" if i < 4 else "b", bytes([i]))
+        broker.publish("a", b"late")
+        # "a" holds 0-3 and "late"; "b" holds 4-5, appended before "late"
+        in_order = [bytes([i]) for i in range(6)] + [b"late"]
+        for n in range(1, 9):
+            batch = broker.poll("c", {"a": 0, "b": 0}, max_records=n)
+            assert [r.data for r in batch] == in_order[:n]
+
+    def test_offset_past_end_on_one_topic_errors(self):
+        for broker in _in_process_and_over_socket():
+            broker.publish("t", b"a")
+            with pytest.raises(OffsetOutOfRangeError, match="offset 5 beyond log length 0"):
+                broker.poll("c", {"t": 0, "u": 5})
+
+    def test_poll_of_no_topic_is_refused(self):
+        for broker in _in_process_and_over_socket():
+            with pytest.raises(BrokerError, match="poll names no topic"):
+                broker.poll("c", {})
+
+    def test_wait_ends_at_a_publish_on_any_topic(self):
+        broker = Broker()
+        threading.Timer(0.05, broker.publish, ("b", b"late")).start()
+        assert broker.poll("c", {"a": 0, "b": 0}, max_wait=2.0) == [Record("b", 0, b"late")]
 
 
 class TestCommitResume:
@@ -215,7 +264,7 @@ class TestCommitResume:
         for broker in _in_process_and_over_socket():
             broker.publish("t", b"a")
             with pytest.raises(OffsetOutOfRangeError, match="offset 5 beyond log length 1"):
-                broker.poll("c", "t", 5)
+                broker.poll("c", {"t": 5})
 
     def test_consumer_get_timeout(self):
         broker = Broker()
@@ -310,6 +359,36 @@ class TestCrossTopicOrder:
             finally:
                 loop.stop()
 
+    def test_publish_between_topic_reads_keeps_order(self):
+        # the core raises a packet event, then a device event, right after the
+        # consumer's first poll: the packet event must not fall behind
+        topics = [TOPIC_FOR_KIND[k] for k in sorted(TOPO_KINDS)]
+        for broker in _in_process_and_over_socket():
+            core = Core(CoreConfig(mode=DistMode.BROKER), broker=broker)
+            consumer = BrokerConsumer(broker, "topo", topics, poll_interval=0.001)
+            poll, raised = broker.poll, []
+
+            def poll_then_raise(*args, **kwargs):
+                batch = poll(*args, **kwargs)
+                if not raised:
+                    raised.append(core.raise_event(_arp_packet_in()))
+                    raised.append(core.raise_event(TopologyDeviceEvent(dpid=1, up=True)))
+                return batch
+
+            broker.poll = poll_then_raise
+            assert self._drain(consumer) == [1, 2]
+
+    def test_forged_seq_does_not_reorder_the_records_behind_it(self):
+        topics = [TOPIC_FOR_KIND[k] for k in sorted(TOPO_KINDS)]
+        for broker in _in_process_and_over_socket():
+            core = Core(CoreConfig(mode=DistMode.BROKER), broker=broker)
+            first = core.raise_event(_arp_packet_in())
+            broker.publish("events.packet", encode_event(replace(first, seq=10**9)))
+            core.raise_event(_arp_packet_in())
+            core.raise_event(TopologyDeviceEvent(dpid=1, up=True))
+            consumer = BrokerConsumer(broker, "topo", topics, poll_interval=0.001)
+            assert [seq for seq in self._drain(consumer) if seq != 10**9] == [1, 2, 3]
+
 
 class TestIntrospection:
     def test_counters(self):
@@ -337,7 +416,7 @@ class TestSocketTransport:
         broker, client = served
         assert client.publish("t", b"hello") == 0
         assert client.publish("t", b"world") == 1
-        batch = client.poll("c", "t", 0, max_records=10)
+        batch = client.poll("c", {"t": 0}, max_records=10)
         assert [(r.offset, r.data) for r in batch] == [(0, b"hello"), (1, b"world")]
         client.commit("c", "t", 2)
         assert client.committed("c", "t") == 2
@@ -347,7 +426,7 @@ class TestSocketTransport:
     def test_poll_error_crosses_socket(self, served):
         _, client = served
         with pytest.raises(OffsetOutOfRangeError):
-            client.poll("c", "t", 5)
+            client.poll("c", {"t": 5})
 
     def test_consumer_over_socket(self, served):
         broker, client = served
@@ -363,5 +442,10 @@ class TestSocketTransport:
             broker.publish("t", b"late")
 
         threading.Thread(target=later).start()
-        batch = client.poll("c", "t", 0, max_wait=2.0)
+        batch = client.poll("c", {"t": 0}, max_wait=2.0)
         assert [r.data for r in batch] == [b"late"]
+
+    def test_blocking_poll_over_socket_wakes_on_any_topic(self, served):
+        broker, client = served
+        threading.Timer(0.05, broker.publish, ("b", b"late")).start()
+        assert client.poll("c", {"a": 0, "b": 0}, max_wait=2.0) == [Record("b", 0, b"late")]

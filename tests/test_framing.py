@@ -82,14 +82,34 @@ class Vector:
 
 # -- broker ----------------------------------------------------------------------
 
+# Requests of the earlier framing that are now refused. The broker's poll
+# read one topic under tag 2, and its reply carried no topic index, so a
+# consumer over several topics polled each in turn and could not tell the
+# order in which their records were appended. A peer still sending tag 2
+# gets "unknown request tag 2" (the "earlier-poll-tag" vector).
+EARLIER_REQUESTS = {
+    "broker/poll": x("0000001b 02 0001", b"c") + x("0001", b"t")
+    + x("0000000000000000 00000040 0000000000000000"),
+}
+
 BROKER = [
     Vector("publish", lambda c: c.publish("t", b"hi"), 0,
            x("0000000a 01 0001", b"t") + x("00000002", b"hi"),
            x("00000009 00 0000000000000000")),
-    Vector("poll", lambda c: c.poll("c", "t", 0), [Record(0, b"hi")],
-           x("0000001b 02 0001", b"c") + x("0001", b"t")
-           + x("0000000000000000 00000040 0000000000000000"),
-           x("00000013 00 00000001 0000000000000000 00000002", b"hi")),
+    Vector("publish-2", lambda c: c.publish("u", b"yo"), 0,
+           x("0000000a 01 0001", b"u") + x("00000002", b"yo"),
+           x("00000009 00 0000000000000000")),
+    # "u" is named first, "t" was appended first: the reply is in append
+    # order and points at each record's topic by its place in the request
+    Vector("poll", lambda c: c.poll("c", {"u": 0, "t": 0}),
+           [Record("t", 0, b"hi"), Record("u", 0, b"yo")],
+           x("00000028 05 0001", b"c") + x("0002")
+           + x("0001", b"u") + x("0000000000000000")
+           + x("0001", b"t") + x("0000000000000000")
+           + x("00000040 0000000000000000"),
+           x("00000025 00 00000002"
+             " 0001 0000000000000000 00000002", b"hi")
+           + x("0000 0000000000000000 00000002", b"yo")),
     Vector("commit", lambda c: c.commit("c", "t", 1), None,
            x("0000000f 03 0001", b"c") + x("0001", b"t") + x("0000000000000001"),
            x("00000001 00")),
@@ -99,15 +119,30 @@ BROKER = [
     Vector("committed-none", lambda c: c.committed("d", "t"), None,
            x("00000007 04 0001", b"d") + x("0001", b"t"),
            x("00000002 00 00")),
-    Vector("poll-past-end", lambda c: c.poll("c", "t", 5),
+    Vector("poll-past-end", lambda c: c.poll("c", {"u": 0, "t": 5}),
            Raises(OffsetOutOfRangeError, "offset 5 beyond log length 1"),
-           x("0000001b 02 0001", b"c") + x("0001", b"t")
-           + x("0000000000000005 00000040 0000000000000000"),
+           x("00000028 05 0001", b"c") + x("0002")
+           + x("0001", b"u") + x("0000000000000000")
+           + x("0001", b"t") + x("0000000000000005")
+           + x("00000040 0000000000000000"),
            x("0000001f 02 001c", b"offset 5 beyond log length 1")),
+    Vector("poll-no-topic", lambda c: c.poll("c", {}),
+           Raises(BrokerError, "poll names no topic"),
+           x("00000012 05 0001", b"c") + x("0000") + x("00000040 0000000000000000"),
+           x("00000016 01 0013", b"poll names no topic")),
+    Vector("poll-topic-twice", None, None,
+           x("00000028 05 0001", b"c") + x("0002")
+           + x("0001", b"t") + x("0000000000000000")
+           + x("0001", b"t") + x("0000000000000000")
+           + x("00000040 0000000000000000"),
+           x("0000001d 01 001a", b"poll names topic 't' twice")),
     Vector("commit-past-end", lambda c: c.commit("c", "t", 5),
            Raises(OffsetOutOfRangeError, "cannot commit 5 beyond log length 1"),
            x("0000000f 03 0001", b"c") + x("0001", b"t") + x("0000000000000005"),
            x("00000026 02 0023", b"cannot commit 5 beyond log length 1")),
+    Vector("earlier-poll-tag", None, None,
+           EARLIER_REQUESTS["broker/poll"],
+           x("00000018 01 0015", b"unknown request tag 2")),
     Vector("unknown-tag", None, None,
            x("00000001 09"),
            x("00000018 01 0015", b"unknown request tag 9")),

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 
 import pytest
 
 from flowplane.core import Core, CoreConfig, FlowModRequest
 from flowplane.fabric import Fabric
-from flowplane.rest import RestApiError, RestFlowClient
+from flowplane.rest import RestApiError, RestFlowClient, RestServer
 from flowplane.topology import build_linear
 from flowplane.wire import Action, ActionKind, MacAddr, Match
 
@@ -186,3 +186,19 @@ class TestTransportEquivalence:
         rules = client.list_rules(2)
         assert [r["rule_id"] for r in rules] == [rule_id]
         assert rules[0]["match"] == {}
+
+
+class TestStop:
+    def test_stop_closes_an_established_keep_alive_connection(self):
+        core = Core()
+        server = RestServer(core).start()
+        conn = HTTPConnection(*server.address, timeout=5)
+        try:
+            conn.request("GET", "/flows/1")
+            assert conn.getresponse().read()  # 404: no such switch, connection kept
+            server.stop()
+            with pytest.raises((OSError, HTTPException)):
+                conn.request("GET", "/flows/1")
+                conn.getresponse().read()
+        finally:
+            conn.close()
