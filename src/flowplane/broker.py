@@ -2,10 +2,10 @@
 
 Topics are append-only logs with dense offsets starting at 0; records are
 immutable once appended and retained for the whole run. Consumers pull by
-offset and may commit progress, so a reconnecting consumer can resume where
-it left off, and a fresh consumer replays the full history. Nothing here
-knows who the producers or consumers are; publishing succeeds with zero
-consumers attached.
+offset and commit progress with each poll, so a reconnecting consumer can
+resume where it left off, and a fresh consumer replays the full history.
+Nothing here knows who the producers or consumers are; publishing succeeds
+with zero consumers attached.
 
 The broker also runs out of process over the shared framing (see
 ``framing``):
@@ -22,7 +22,10 @@ The broker also runs out of process over the shared framing (see
     status: 1 BrokerError, 2 OffsetOutOfRangeError, 3 RecordTooLargeError
 
 A poll names each topic once; the reply's topic index points into the
-request's list. Tag 2 was a poll of one topic and is now unknown.
+request's list. A poll also commits: each from_offset becomes the consumer's
+committed offset of its topic, unless the poll fails. So a consumer never
+sends tag 3 while it delivers records; tag 3 sets an offset explicitly. Tag 2
+was a poll of one topic and is now unknown.
 
 ``BrokerClient`` speaks that protocol and exposes the same operation
 contract as ``Broker``, so ``BrokerConsumer`` works over either. Consumers
@@ -74,7 +77,7 @@ class Broker:
 
     def __init__(self) -> None:
         self._topics: dict[str, list[Record]] = {}
-        self._committed: dict[tuple[str, str], int] = {}
+        self._committed: dict[str, dict[str, int]] = {}  # consumer -> topic -> offset
         self._next_index = 0
         self._lock = threading.Lock()
         self._appended = threading.Condition(self._lock)
@@ -110,6 +113,10 @@ class Broker:
         short only after ``max_records`` records that all came earlier.
         Blocks up to ``max_wait`` seconds when no topic has a record, then
         returns an empty batch.
+
+        Each offset becomes ``consumer_id``'s committed offset of its topic,
+        as a Kafka consumer's next poll commits what its last one returned.
+        A poll that raises commits nothing.
         """
         if not offsets:
             raise BrokerError("poll names no topic")
@@ -125,6 +132,8 @@ class Broker:
                         )
                     if start < len(records):
                         slices.append(records[start : start + max_records])
+                # no offset is out of range: commit them (a wait repeats this)
+                self._committed.setdefault(consumer_id, {}).update(offsets)
                 if slices:
                     break
                 remaining = deadline - time.monotonic()
@@ -141,11 +150,11 @@ class Broker:
             length = len(self._log(topic))
             if offset > length:
                 raise OffsetOutOfRangeError(f"cannot commit {offset} beyond log length {length}")
-            self._committed[(consumer_id, topic)] = offset
+            self._committed.setdefault(consumer_id, {})[topic] = offset
 
     def committed(self, consumer_id: str, topic: str) -> int | None:
         with self._lock:
-            return self._committed.get((consumer_id, topic))
+            return self._committed.get(consumer_id, {}).get(topic)
 
     # -- introspection ------------------------------------------------------
 
@@ -166,9 +175,19 @@ class BrokerConsumer:
     """Offset-tracking puller over one or more topics.
 
     ``resume=True`` starts each topic at its committed offset; otherwise the
-    consumer replays from 0. Progress is committed after every record handed
-    out. Empty polls sleep ``poll_interval`` before the next attempt, which
-    makes the interval the floor of this backend's delivery latency.
+    consumer replays from 0. Empty polls sleep ``poll_interval`` before the
+    next attempt, which makes the interval the floor of this backend's
+    delivery latency.
+
+    Progress is committed by the polls themselves, never by a request of its
+    own: each poll commits the offsets it reads from, that is, every record
+    handed out before it. A subscriber loop calls ``get`` only after the
+    service has handled the last record, so the committed offset never
+    passes an unhandled record (at least once, as with Kafka's auto-commit).
+    A consumer stopped between a hand-out and its next poll is resumed at
+    the first record handed out since its last poll, so it replays at most
+    ``batch_size`` records. An idle consumer polls every ``poll_interval``,
+    which commits the last record within one interval.
 
     Each refill is one poll over all the consumer's topics, so records are
     handed out ordered by the broker's append order whatever topic they
@@ -203,7 +222,6 @@ class BrokerConsumer:
             if self._buffer:
                 record = self._buffer.popleft()
                 self._offsets[record.topic] = record.offset + 1
-                self.broker.commit(self.consumer_id, record.topic, record.offset + 1)
                 return record.data
             self._buffer.extend(
                 self.broker.poll(self.consumer_id, self._offsets, self.batch_size, 0.0)

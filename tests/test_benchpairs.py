@@ -18,12 +18,13 @@ DIRECTIONS = {"rtt_p50_ms.internal": "lower", "broker.poll_hit_ratio.broker": "h
 
 
 def write_record(out: Path, seed: int, rtt: float, trace: int = 0, mtime: float = 0.0,
-                 failures=(), **config) -> None:
+                 failures=(), extra=None, **config) -> None:
     record = {
         "workload": "punt", "seed": seed, "seconds": 45, "trace": trace,
         "python": "3.11.7", "cpus": 2, "wall_s": 50.0,
         "end_to_end": {} if trace else {"rtt_p50_ms.internal": rtt, "setup_s": 0.07},
         "per_layer": {"broker.poll_hit_ratio.broker": rtt} if trace else {},
+        "per_layer_extra": extra or {},
         "failures": list(failures),
         **config,
     }
@@ -91,6 +92,24 @@ def test_traced_runs_pair_their_per_layer_metrics_in_their_own_group(dirs):
     assert ratio["better"] == "higher" and ratio["wins"] == 1
     assert group["pairs"][0]["parent_failures"] == 1
     assert group["pairs"][0]["change_failures"] == 0
+
+
+def test_traced_runs_pair_their_extra_layers_without_a_verdict(dirs):
+    parent, change = dirs
+    for seed, (p_us, c_us) in enumerate([(200.0, 150.0), (210.0, 160.0), (190.0, 200.0)]):
+        write_record(parent, seed, 0.5, trace=1,
+                     extra={"coreapi.call.us.broker": p_us, "broker.delivered.broker": 20.0})
+        write_record(change, seed, 0.5, trace=1,
+                     extra={"coreapi.call.us.broker": c_us, "broker.delivered.broker": 20.0})
+    bounds = {"rtt_p50_ms.internal": 0.25}
+    metrics = benchpairs.pair_records(parent, change, DIRECTIONS, bounds)["punt-trace1"]["metrics"]
+    call = metrics["coreapi.call.us.broker"]
+    assert call["better"] == "lower"
+    assert (call["wins"], call["losses"], call["ties"]) == (2, 1, 0)
+    assert call["parent"]["median"] == 200.0 and call["change"]["median"] == 160.0
+    assert "verdict" not in call
+    assert metrics["broker.delivered.broker"]["ties"] == 3
+    assert "broker.poll_hit_ratio.broker" in metrics  # the per-layer metrics stay
 
 
 def test_pairs_run_with_different_settings_are_refused(dirs):

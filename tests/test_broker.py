@@ -246,7 +246,8 @@ class TestCommitResume:
         broker = Broker()
         broker.publish("t", b"old")
         consumer = BrokerConsumer(broker, "c", ["t"])
-        assert consumer.get() == b"old"  # auto-commits offset 1
+        assert consumer.get() == b"old"
+        assert consumer.get(timeout=0) is None  # this poll commits offset 1
         broker.publish("t", b"new-1")
         broker.publish("t", b"new-2")
         resumed = BrokerConsumer(broker, "c", ["t"], resume=True)
@@ -272,6 +273,48 @@ class TestCommitResume:
         start = time.monotonic()
         assert consumer.get(timeout=0.03) is None
         assert time.monotonic() - start >= 0.03
+
+
+class TestPollCommits:
+    """A poll commits the offsets it reads from, for its consumer id only."""
+
+    def test_handed_out_record_is_replayed_until_the_next_poll(self):
+        for broker in _in_process_and_over_socket():
+            for i in range(5):
+                broker.publish("t", bytes([i]))
+            # one record per poll, so each get() polls once, then hands out
+            consumer = BrokerConsumer(broker, "c", ["t"], batch_size=1)
+            assert [consumer.get() for _ in range(3)] == [bytes([i]) for i in range(3)]
+            # record 2 is handed out but may not be handled yet
+            assert broker.committed("c", "t") == 2
+            assert BrokerConsumer(broker, "c", ["t"], resume=True).get() == bytes([2])
+            assert consumer.get() == bytes([3])
+            assert broker.committed("c", "t") == 3
+            assert BrokerConsumer(broker, "c", ["t"], resume=True).get() == bytes([3])
+
+    def test_a_poll_that_raises_commits_nothing(self):
+        for broker in _in_process_and_over_socket():
+            broker.publish("t", b"a")
+            broker.poll("c", {"t": 1})
+            with pytest.raises(OffsetOutOfRangeError):
+                broker.poll("c", {"t": 0, "u": 5})
+            assert broker.committed("c", "t") == 1
+            assert broker.committed("c", "u") is None
+            with pytest.raises(OffsetOutOfRangeError):
+                broker.poll("d", {"t": 0, "u": 5})
+            assert broker.committed("d", "t") is None
+
+    def test_polls_commit_for_their_own_consumer_id_only(self):
+        for broker in _in_process_and_over_socket():
+            for i in range(3):
+                broker.publish("t", bytes([i]))
+            broker.commit("a", "t", 2)
+            broker.poll("b", {"t": 0})
+            assert broker.committed("a", "t") == 2
+            assert broker.committed("b", "t") == 0
+            broker.poll("a", {"t": 3})
+            assert broker.committed("a", "t") == 3
+            assert broker.committed("b", "t") == 0
 
 
 class TestCrossTopicOrder:

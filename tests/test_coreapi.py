@@ -23,6 +23,7 @@ from flowplane.fabric import Fabric
 from flowplane.interservice import TopoQueryClient, TopoQueryServer
 from flowplane.services import ForwardingService, FwdConfig, TopologyService
 from flowplane.stack import (
+    FWD_KINDS,
     TOPO_KINDS,
     _SubscriberLoop,
     attach_services,
@@ -45,6 +46,7 @@ from flowplane.wire import (
     Match,
     PacketExceptionEvent,
     RuleEventOp,
+    TOPIC_FOR_KIND,
     TopologyDeviceEvent,
     TopologyLinkEvent,
     TopologyPortEvent,
@@ -293,6 +295,14 @@ class TestStandaloneServices:
             assert topo.link_set() == spec.switch_link_set()
             assert set(topo.hosts()) == {h.mac for h in spec.hosts}
             counted.tags.clear()
+            commits = []
+            if mode is DistMode.BROKER:
+                # the served broker's explicit commits (socket tag 3)
+                def counting_commit(*args, commit=backend.commit):
+                    commits.append(args)
+                    commit(*args)
+
+                backend.commit = counting_commit
             last_seq = core.event_log()[-1].seq
             samples = fabric.hosts["h1"].ping(H2, count=3, interval=0.001)
             assert all(not s.lost for s in samples)
@@ -306,6 +316,19 @@ class TestStandaloneServices:
             assert counted.tags[4] == len(unicast_punts)
             assert counted.tags[1] == 0 and counted.tags[2] == 0
             assert [loop.errors for loop in loops] == [0, 0]
+            if mode is DistMode.BROKER:
+                # the consumers' polls commit their progress: no commit round
+                # trip per event, and each topic is committed to its end
+                assert commits == []
+                positions = [
+                    (f"{name}-service", TOPIC_FOR_KIND[kind])
+                    for name, kinds in (("topo", TOPO_KINDS), ("fwd", FWD_KINDS))
+                    for kind in kinds
+                ]
+                assert wait_until(lambda: all(
+                    backend.committed(consumer, topic) == backend.record_count(topic)
+                    for consumer, topic in positions
+                ))
 
     @pytest.mark.parametrize("mode", [DistMode.BROKER, DistMode.P2P])
     def test_loop_counts_service_errors_and_keeps_consuming(self, mode, caplog):

@@ -5,7 +5,9 @@
 Each checkout's ``perfbench/run.py`` writes one record per run to
 ``perfbench/out/<workload>-seed<N>-trace<T>.json``. Records of the two
 checkouts are paired by workload, seed and trace setting; seeds found on one
-side only are left out. For every metric the output gives each pair, the
+side only are left out. A traced record's metrics are its per-layer ones and
+the extra layers it records beside them; metrics ``BENCHMARK.json`` does not
+list count as lower-is-better. For every metric the output gives each pair, the
 change's wins, losses and ties, each side's median and quartiles, and the
 parent's interquartile range. ``gain`` applies the rule for claiming a gain:
 the change wins at least nine tenths of the pairs and its median is better
@@ -63,7 +65,11 @@ def summary(values: list[float]) -> dict[str, float]:
 
 
 def metric_values(record: dict) -> dict[str, float]:
-    return record["per_layer"] if record["trace"] else record["end_to_end"]
+    """A traced record's per-layer metrics, the extra layers among them, or
+    an untraced record's end-to-end metrics."""
+    if record["trace"]:
+        return {**record["per_layer"], **record["per_layer_extra"]}
+    return record["end_to_end"]
 
 
 def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
