@@ -25,7 +25,7 @@ import logging
 import math
 import statistics
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -405,6 +405,11 @@ def run_response_time(cfg: RtConfig, out_dir: str | Path | None = None) -> RtRes
 # Throughput experiment
 # ---------------------------------------------------------------------------
 
+# the length a window of a paired goodput run aims at: short enough that the
+# machine's speed barely moves within one round of the modes or channels
+TP_WINDOW_S = 1.0
+
+
 @dataclass
 class TpConfig:
     topology: str = "linear:5"
@@ -483,8 +488,92 @@ def _check_tp_config(cfg: TpConfig) -> None:
         )
 
 
+def _window_order(items: tuple, round_no: int) -> tuple:
+    """Alternate an ordering and its mirror (ABBA for two), so that no item
+    always runs first and a steady drift of the machine's speed reaches every
+    item's total alike."""
+    return items if round_no % 2 == 0 else items[::-1]
+
+
+def _throughput_cells(cfg: TpConfig, n_conns: int) -> list[tuple[TpCell, list[Event]]]:
+    """One cell per mode at ``n_conns``, with the mode's core event log.
+
+    With one mode, its stream runs for ``cfg.duration`` on one stack. With
+    several, one stack per mode is started and warmed, and the modes take
+    turns in windows of about ``TP_WINDOW_S`` until each has streamed for
+    ``cfg.duration``: the machine's speed drifts by more than the gaps
+    between modes within seconds, and paired windows spread that drift over
+    every mode alike. The stacks not streaming sit idle meanwhile (a broker
+    stack's consumers keep polling).
+    """
+    if len(cfg.modes) == 1:
+        windows, window = 1, cfg.duration
+    else:
+        windows = max(2, round(cfg.duration / TP_WINDOW_S))
+        window = cfg.duration / windows
+    with _measurement_scheduling(), ExitStack() as running:
+        stacks = {}
+        for mode in cfg.modes:
+            config = _stack_config(
+                cfg, mode, install_rules=True, install_channel=cfg.install,
+                hard_timeout_s=cfg.hard_timeout_s,
+            )
+            stacks[mode] = running.enter_context(Stack(parse_topology(cfg.topology), config))
+            stacks[mode].warm()
+        totals = {
+            mode: [
+                ConnReport(conn_id=c, bytes_acked=0, segments_acked=0, retransmits=0,
+                           duration_s=window * windows)
+                for c in range(n_conns)
+            ]
+            for mode in cfg.modes
+        }
+        for round_no in range(windows):
+            for mode in _window_order(cfg.modes, round_no):
+                stack = stacks[mode]
+                reports = stack.host("h1").stream(
+                    stack.host("h2").mac,
+                    duration=window,
+                    n_conns=n_conns,
+                    segment_bytes=cfg.segment_bytes,
+                )
+                for total, report in zip(totals[mode], reports):
+                    total.bytes_acked += report.bytes_acked
+                    total.segments_acked += report.segments_acked
+                    total.retransmits += report.retransmits
+        event_logs = {mode: stack.event_log() for mode, stack in stacks.items()}
+    measured = []
+    for mode in cfg.modes:
+        events = event_logs[mode]
+        reports = totals[mode]
+        removed = sum(
+            1
+            for e in events
+            if isinstance(e, FlowRuleEvent) and e.op is RuleEventOp.REMOVED
+        )
+        added = sum(
+            1
+            for e in events
+            if isinstance(e, FlowRuleEvent) and e.op is RuleEventOp.ADDED
+        )
+        cell = TpCell(
+            mode=mode,
+            install=cfg.install,
+            n_conns=n_conns,
+            conns=reports,
+            removed_events=removed,
+            added_events=added,
+            valid=sum(r.bytes_acked for r in reports) > 0,
+        )
+        measured.append((cell, events))
+    return measured
+
+
 def run_throughput(cfg: TpConfig, out_dir: str | Path | None = None) -> TpResult:
-    """Goodput vs connection count with reactive flow installation."""
+    """Goodput vs connection count with reactive flow installation.
+
+    For each connection count the modes are measured side by side, in
+    alternating windows (see ``_throughput_cells``)."""
     _check_tp_config(cfg)
     if cfg.install not in ("direct", "rest"):
         raise BenchError(f"unknown install channel {cfg.install!r}")
@@ -500,60 +589,26 @@ def run_throughput(cfg: TpConfig, out_dir: str | Path | None = None) -> TpResult
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    cells = []
-    for mode in cfg.modes:
-        for n_conns in cfg.conns:
-            spec = parse_topology(cfg.topology)
-            config = _stack_config(
-                cfg, mode, install_rules=True, install_channel=cfg.install,
-                hard_timeout_s=cfg.hard_timeout_s,
-            )
-            with _measurement_scheduling(), Stack(spec, config) as stack:
-                stack.warm()
-                src = stack.host("h1")
-                dst = stack.host("h2")
-                reports = src.stream(
-                    dst.mac,
-                    duration=cfg.duration,
-                    n_conns=n_conns,
-                    segment_bytes=cfg.segment_bytes,
-                )
-                events = stack.event_log()
-            removed = sum(
-                1
-                for e in events
-                if isinstance(e, FlowRuleEvent) and e.op is RuleEventOp.REMOVED
-            )
-            added = sum(
-                1
-                for e in events
-                if isinstance(e, FlowRuleEvent) and e.op is RuleEventOp.ADDED
-            )
-            cell = TpCell(
-                mode=mode,
-                install=cfg.install,
-                n_conns=n_conns,
-                conns=reports,
-                removed_events=removed,
-                added_events=added,
-                valid=sum(r.bytes_acked for r in reports) > 0,
-            )
-            cells.append(cell)
+    measured: dict[tuple[DistMode, int], TpCell] = {}
+    for n_conns in cfg.conns:
+        for cell, events in _throughput_cells(cfg, n_conns):
+            measured[cell.mode, n_conns] = cell
             if out is not None:
                 write_event_log(
                     events,
-                    out / f"events-tp-{mode.value}-c{n_conns}.csv",
+                    out / f"events-tp-{cell.mode.value}-c{n_conns}.csv",
                     [
-                        f"experiment=tp mode={mode.value} conns={n_conns} "
+                        f"experiment=tp mode={cell.mode.value} conns={n_conns} "
                         f"install={cfg.install}"
                     ],
                 )
             log.info(
                 "tp %s conns=%d: %.2f Mbit/s",
-                mode.value,
+                cell.mode.value,
                 n_conns,
                 cell.aggregate_bps / 1e6,
             )
+    cells = [measured[mode, n_conns] for mode in cfg.modes for n_conns in cfg.conns]
 
     result = TpResult(
         config=cfg, cells=cells, valid=all(c.valid for c in cells), notes=notes
@@ -642,15 +697,16 @@ def run_install_comparison(
     can swamp the install-channel effect, so this experiment alternates
     direct and REST windows on one live network per (mode, n_conns) cell:
     both channels see the same threads, the same convoys, the same rule
-    churn. ``cfg.duration`` is the measured time per channel; one leading
+    churn. The channels take turns in windows of ``TP_WINDOW_S``, in ABBA
+    order, so neither always runs first and the machine's drift reaches both
+    alike; a rule expiring during a window is reinstalled over that window's
+    channel. ``cfg.duration`` is the measured time per channel; one leading
     window is discarded as warm-up.
     """
     _check_tp_config(cfg)
     from .rest import RestFlowClient
 
-    # three churn cycles per window keep the install cost visible above
-    # per-window scheduling jitter
-    window = max(3.0 * cfg.hard_timeout_s, 1.0)
+    window = TP_WINDOW_S
     windows_per_channel = max(2, round(cfg.duration / window))
     cells = []
     for mode in cfg.modes:
@@ -667,8 +723,8 @@ def run_install_comparison(
                 src.stream(dst.mac, duration=window, n_conns=n_conns,
                            segment_bytes=cfg.segment_bytes)  # discarded warm-up
                 acked = {"direct": 0, "rest": 0}
-                for _ in range(windows_per_channel):
-                    for channel in ("direct", "rest"):
+                for round_no in range(windows_per_channel):
+                    for channel in _window_order(("direct", "rest"), round_no):
                         stack.fwd.set_install_channel(channel, rest=rest_client)
                         reports = src.stream(
                             dst.mac,

@@ -130,7 +130,8 @@ class _Scheduler:
             self._thread = None
 
     def _run(self) -> None:
-        get, timers, lock = self._q.get, self._timers, self._lock
+        get, get_nowait = self._q.get, self._q.get_nowait
+        timers, lock = self._timers, self._lock
         while True:
             timeout = None
             if timers:
@@ -148,9 +149,18 @@ class _Scheduler:
                 if timers:
                     timeout = timers[0][0] - now
             try:
-                actor, handler, item = get(timeout=timeout)
+                # SimpleQueue.get(timeout) (CPython 3.11) waits for the next
+                # put instead when its lock was free and its deadline passed
+                # by a microsecond before it blocks, as a timer due in a few
+                # microseconds often makes it; a get_nowait() on the empty
+                # queue takes that lock first, so the timed get keeps its
+                # timeout
+                actor, handler, item = get_nowait()
             except Empty:
-                continue
+                try:
+                    actor, handler, item = get(timeout=timeout)
+                except Empty:
+                    continue
             if actor is None:
                 return
             try:

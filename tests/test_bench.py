@@ -223,6 +223,59 @@ class TestTpSmall:
             "mode", "n_conns", "direct_bps", "rest_bps", "rest_slowdown"
         ]
 
+    def test_modes_take_turns_in_abba_windows(self, monkeypatch):
+        from flowplane.fabric import SimHost
+
+        streamed = []
+        stream = SimHost.stream
+
+        def recording_stream(host, dst, duration, **kwargs):
+            streamed.append((id(host), duration))
+            return stream(host, dst, duration, **kwargs)
+
+        monkeypatch.setattr(SimHost, "stream", recording_stream)
+        cfg = TpConfig(
+            topology="linear:2",
+            modes=(DistMode.INTERNAL, DistMode.P2P),
+            conns=(2,),
+            duration=2.0,
+            hard_timeout_s=10,
+            discovery_interval=0,
+        )
+        result = run_throughput(cfg)
+        assert [c.mode for c in result.cells] == [DistMode.INTERNAL, DistMode.P2P]
+        # one stack per mode, streaming in 1 s windows in the order A B B A
+        hosts = [h for h, _ in streamed]
+        assert len(hosts) == 4 and hosts[0] == hosts[3] != hosts[1] == hosts[2]
+        assert all(d == pytest.approx(1.0) for _, d in streamed)
+        for cell in result.cells:
+            assert cell.valid
+            assert len(cell.conns) == 2
+            assert all(c.duration_s == pytest.approx(2.0) for c in cell.conns)
+            assert cell.bytes_acked == sum(c.segments_acked for c in cell.conns) * 1464
+
+    def test_install_channels_take_turns_in_abba_windows(self, monkeypatch):
+        from flowplane.services import ForwardingService
+
+        channels = []
+        set_channel = ForwardingService.set_install_channel
+
+        def recording_set(fwd, channel, rest=None):
+            channels.append(channel)
+            return set_channel(fwd, channel, rest=rest)
+
+        monkeypatch.setattr(ForwardingService, "set_install_channel", recording_set)
+        cfg = TpConfig(
+            topology="linear:2",
+            modes=(DistMode.INTERNAL,),
+            conns=(1,),
+            duration=2.0,
+            hard_timeout_s=0,
+            discovery_interval=0,
+        )
+        run_install_comparison(cfg)
+        assert channels == ["direct", "rest", "rest", "direct"]
+
     def test_expiry_churn_counted(self):
         cfg = TpConfig(
             topology="linear:2",

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
 import pytest
 
-from flowplane.fabric import Fabric
+from flowplane.fabric import Fabric, _Scheduler
 from flowplane.topology import build_fat_tree, build_linear
 from flowplane.wire import (
     Action,
@@ -343,6 +344,43 @@ class TestPendingWork:
         sw.control_rx(encode_sb(FlowMod(dpid=1, op=FlowModOp.ADD, rule=rule)))
         assert chain3.quiesce(timeout=0.5)
         assert [r.rule_id for r in sw.request_rules()] == [7]
+
+
+class TestTimers:
+    def test_timers_due_within_microseconds_fire_without_a_put(self):
+        """A chain of timers a few microseconds apart, each also handling one
+        queued item, runs to its end with nothing else put on the queue: no
+        wait for a timer may turn into a wait for the next item."""
+        scheduler = _Scheduler()
+        rng = random.Random(1)
+        done = threading.Event()
+        left = [20000]
+
+        class Sink:
+            name = "sink"
+
+            def noop(self, item):
+                pass
+
+            def start(self, step):
+                step()
+
+        sink = Sink()
+
+        def step():
+            left[0] -= 1
+            if left[0] == 0:
+                done.set()
+                return
+            scheduler.put(sink, "noop", None)
+            scheduler.call_later(rng.uniform(1e-6, 1e-5), step)
+
+        scheduler.start()
+        try:
+            scheduler.put(sink, "start", step)
+            assert done.wait(10), f"timer chain stalled with {left[0]} steps left"
+        finally:
+            scheduler.stop()
 
 
 @pytest.mark.parametrize("latency", [0.0, 0.005], ids=["direct", "delayed"])
