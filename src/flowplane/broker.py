@@ -82,9 +82,6 @@ class Broker:
         self._lock = threading.Lock()
         self._appended = threading.Condition(self._lock)
 
-    def _log(self, topic: str) -> list[Record]:
-        return self._topics.setdefault(topic, [])
-
     def publish(self, topic: str, data: bytes) -> int:
         """Append a record; returns its offset (= previous log length)."""
         if len(data) > MAX_RECORD_BYTES:
@@ -92,7 +89,7 @@ class Broker:
                 f"record of {len(data)} bytes exceeds {MAX_RECORD_BYTES}"
             )
         with self._lock:
-            records = self._log(topic)
+            records = self._topics.setdefault(topic, [])
             offset = len(records)
             records.append(Record(topic, offset, data, self._next_index))
             self._next_index += 1
@@ -116,7 +113,9 @@ class Broker:
 
         Each offset becomes ``consumer_id``'s committed offset of its topic,
         as a Kafka consumer's next poll commits what its last one returned.
-        A poll that raises commits nothing.
+        A poll that raises commits nothing, and a topic nobody published to
+        reads as an empty log and gets no committed offset: the broker keeps
+        no state for a name it has not seen.
         """
         if not offsets:
             raise BrokerError("poll names no topic")
@@ -124,8 +123,12 @@ class Broker:
         with self._lock:
             while True:
                 slices = []
+                unseen = False
                 for topic, start in offsets.items():
-                    records = self._log(topic)
+                    records = self._topics.get(topic)
+                    if records is None:
+                        records = ()
+                        unseen = True
                     if start > len(records):
                         raise OffsetOutOfRangeError(
                             f"offset {start} beyond log length {len(records)}"
@@ -133,7 +136,11 @@ class Broker:
                     if start < len(records):
                         slices.append(records[start : start + max_records])
                 # no offset is out of range: commit them (a wait repeats this)
-                self._committed.setdefault(consumer_id, {}).update(offsets)
+                seen = offsets
+                if unseen:
+                    seen = {t: o for t, o in offsets.items() if t in self._topics}
+                if seen:
+                    self._committed.setdefault(consumer_id, {}).update(seen)
                 if slices:
                     break
                 remaining = deadline - time.monotonic()
@@ -145,12 +152,14 @@ class Broker:
         return sorted(chain.from_iterable(slices), key=attrgetter("index"))[:max_records]
 
     def commit(self, consumer_id: str, topic: str, offset: int) -> None:
-        """Record ``offset`` as the consumer's next read position."""
+        """Record ``offset`` as the consumer's next read position; offset 0 of
+        a topic nobody published to is accepted and not recorded."""
         with self._lock:
-            length = len(self._log(topic))
+            length = len(self._topics.get(topic, ()))
             if offset > length:
                 raise OffsetOutOfRangeError(f"cannot commit {offset} beyond log length {length}")
-            self._committed.setdefault(consumer_id, {})[topic] = offset
+            if topic in self._topics:
+                self._committed.setdefault(consumer_id, {})[topic] = offset
 
     def committed(self, consumer_id: str, topic: str) -> int | None:
         with self._lock:

@@ -26,9 +26,9 @@ import itertools
 import logging
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, Protocol, get_args
 
 from .wire import (
     Action,
@@ -58,6 +58,13 @@ from .wire import (
 )
 
 log = logging.getLogger(__name__)
+
+# each event class's fields before its stamp (seq, ts_micros), in order
+_UNSTAMPED_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in ("seq", "ts_micros"))
+    for cls in get_args(Event)
+}
+_set = object.__setattr__
 
 
 class CoreError(Exception):
@@ -285,10 +292,17 @@ class Core:
     def raise_event(self, event: Event) -> Event:
         """Stamp ``event`` with the next sequence number and distribute it."""
         mode = self.config.mode
+        # the copy dataclasses.replace would build, set field by field: no
+        # event class has a __post_init__ for replace's __init__ call to run.
+        # Setting attributes in field order, not updating __dict__, keeps the
+        # instance's compact attribute storage, so later reads stay fast.
+        cls = type(event)
+        stamped = object.__new__(cls)
+        for name in _UNSTAMPED_FIELDS[cls]:
+            _set(stamped, name, getattr(event, name))
         with self._seq_lock:
-            stamped = replace(
-                event, seq=self._next_seq, ts_micros=time.time_ns() // 1000
-            )
+            _set(stamped, "seq", self._next_seq)
+            _set(stamped, "ts_micros", time.time_ns() // 1000)
             self._next_seq += 1
             self._event_log.append(stamped)
             self.metrics.events_emitted += 1

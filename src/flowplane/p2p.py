@@ -208,23 +208,28 @@ class P2pStreamClient:
         self._sock = socket.create_connection(address, timeout=connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.sendall(bytes([kinds_to_bitmap(kindset)]))
+        self._timeout = connect_timeout  # settimeout costs a system call, so it is remembered
         self._buffer = b""
+        self._pos = 0  # the buffer's bytes before this were handed out
 
     def get(self, timeout: float | None = None) -> bytes | None:
         """Next encoded event; None on timeout; ConnectionError once the stream is lost."""
-        self._sock.settimeout(timeout)
+        if timeout != self._timeout:
+            self._sock.settimeout(timeout)
+            self._timeout = timeout
         try:
             while True:
-                if len(self._buffer) >= 4:
-                    (n,) = U32.unpack_from(self._buffer)
-                    if len(self._buffer) >= 4 + n:
-                        data = self._buffer[4 : 4 + n]
-                        self._buffer = self._buffer[4 + n :]
-                        return data
+                buf, start = self._buffer, self._pos + U32.size
+                if len(buf) >= start:
+                    end = start + U32.unpack_from(buf, self._pos)[0]
+                    if len(buf) >= end:
+                        self._pos = end
+                        return buf[start:end]
                 chunk = self._sock.recv(65536)
                 if not chunk:
                     raise ConnectionError("closed by the server")
-                self._buffer += chunk
+                # only a partial frame is left to keep
+                self._buffer, self._pos = buf[self._pos :] + chunk, 0
         except TimeoutError:
             return None
         except OSError as exc:

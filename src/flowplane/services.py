@@ -121,14 +121,14 @@ class PathHop:
 class TopologyGraph:
     """Immutable snapshot of the discovered network.
 
-    Path queries memoise the adjacency and every switch-to-switch route on
-    the snapshot, so a snapshot must not be mutated once it has been queried.
+    Path queries memoise the adjacency and every switch-to-host path on the
+    snapshot, so a snapshot must not be mutated once it has been queried.
     """
 
     switches: frozenset[int]
     links: dict[tuple[int, int], tuple[int, int]]  # (dpid, port) -> (dpid, port)
     hosts: dict[MacAddr, HostLocation]
-    _routes: dict[tuple[int, int], tuple[PathHop, ...] | None] = field(
+    _paths: dict[tuple[int, MacAddr], tuple[PathHop, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -153,12 +153,6 @@ class TopologyGraph:
 
         Ties break toward the smallest next-hop dpid at every step.
         """
-        key = (start_dpid, dst_dpid)
-        if key not in self._routes:
-            self._routes[key] = self._shortest_route(start_dpid, dst_dpid)
-        return self._routes[key]
-
-    def _shortest_route(self, start_dpid: int, dst_dpid: int) -> tuple[PathHop, ...] | None:
         adj = self.adjacency
 
         # breadth-first distances toward the destination switch, walked backwards
@@ -223,7 +217,14 @@ def shortest_path(graph: TopologyGraph, src_mac: MacAddr, dst_mac: MacAddr) -> l
 
 
 def path_from_switch(graph: TopologyGraph, start_dpid: int, dst_mac: MacAddr) -> list[PathHop]:
-    """Minimum-hop path from a switch to a host (see shortest_path)."""
+    """Minimum-hop path from a switch to a host (see shortest_path); a new list each call."""
+    path = graph._paths.get((start_dpid, dst_mac))
+    if path is None:
+        path = graph._paths[(start_dpid, dst_mac)] = _build_path(graph, start_dpid, dst_mac)
+    return list(path)
+
+
+def _build_path(graph: TopologyGraph, start_dpid: int, dst_mac: MacAddr) -> tuple[PathHop, ...]:
     dst = graph.hosts.get(dst_mac)
     if dst is None:
         raise UnknownHostError(f"no location for {dst_mac}")
@@ -232,7 +233,20 @@ def path_from_switch(graph: TopologyGraph, start_dpid: int, dst_mac: MacAddr) ->
     hops = graph.route(start_dpid, dst.dpid)
     if hops is None:
         raise NoPathError(f"no path from switch {start_dpid} to {dst_mac}")
-    return [*hops, PathHop(dpid=dst.dpid, out_port=dst.port)]
+    return (*hops, PathHop(dpid=dst.dpid, out_port=dst.port))
+
+
+def _maps(event: Event) -> bool:
+    """Whether the topology service reads ``event``: device and port events,
+    discovery probes and ARP-analog broadcasts; it ignores every other event."""
+    if isinstance(event, (TopologyDeviceEvent, TopologyPortEvent)):
+        return True
+    if not isinstance(event, PacketExceptionEvent):
+        return False
+    frame = event.frame
+    return frame.ethertype == ETHERTYPE_DISCOVERY or (
+        frame.ethertype == ETHERTYPE_ARP and frame.dst.is_broadcast
+    )
 
 
 @dataclass
@@ -291,16 +305,16 @@ class TopologyService:
     # -- event intake ---------------------------------------------------------
 
     def on_event(self, event: Event) -> GraphDelta:
+        if not _maps(event):
+            return GraphDelta(ignored=True)
         delta = GraphDelta()
         with self._lock:
             if isinstance(event, TopologyDeviceEvent):
                 self._on_device(event, delta)
             elif isinstance(event, TopologyPortEvent):
                 self._on_port(event, delta)
-            elif isinstance(event, PacketExceptionEvent):
-                self._on_packet(event, delta)
             else:
-                delta.ignored = True
+                self._on_packet(event, delta)
             if not delta.empty:
                 self._map_changed()
         self._report(delta)
@@ -339,10 +353,8 @@ class TopologyService:
                 delta.ignored = True
                 return
             self._add_link(probe.origin_dpid, probe.origin_port, event.dpid, event.in_port, delta)
-        elif frame.ethertype == ETHERTYPE_ARP and frame.dst.is_broadcast:
+        else:  # an ARP-analog broadcast, as _maps let through
             self._learn(frame.src, event.dpid, event.in_port, delta)
-        else:
-            delta.ignored = True
 
     def _add_link(self, sd, sp, dd, dp, delta) -> None:
         if sd not in self._switches or dd not in self._switches:
@@ -410,6 +422,13 @@ class TopologyService:
             self._learn_host(mac, dpid, port)
 
     def _learn_host(self, mac: MacAddr, dpid: int, port: int) -> None:
+        # what _learn would ignore or keep as it is, decided without a delta:
+        # a sighting on a link port, or one the map already holds
+        known = self._hosts.get(mac)
+        if known is not None and known.dpid == dpid and known.port == port:
+            return
+        if self._is_link_port(dpid, port):
+            return
         delta = GraphDelta()
         self._learn(mac, dpid, port, delta)
         if not delta.empty:
@@ -546,6 +565,8 @@ class ForwardingService:
         if self.cfg.install_channel == "rest" and rest is None:
             raise ValueError("REST install channel needs a REST client")
         self.stats = FwdStats()
+        # guards stats, the two dictionaries below and the install channel;
+        # never held across a topology query or a core call
         self._lock = threading.RLock()
         self._seen_broadcasts: dict[tuple[int, MacAddr, int, int], float] = {}
         self._installed: dict[tuple[int, MacAddr], float] = {}
@@ -572,69 +593,83 @@ class ForwardingService:
         learn = None if frame.src.is_broadcast else (frame.src, event.in_port)
         with self._lock:
             self.stats.packets_handled += 1
-            if frame.dst.is_broadcast:
-                if learn is not None:
-                    self.topo.learn_host(frame.src, event.dpid, event.in_port)
-                return self._flood(event)
-            try:
-                hops = self.topo.path_from_switch(event.dpid, frame.dst, learn=learn)
-            except UnknownHostError:
-                return self._flood(event)
-            except PathError:
+        if frame.dst.is_broadcast:
+            if learn is not None:
+                self.topo.learn_host(frame.src, event.dpid, event.in_port)
+            return self._flood(event)
+        try:
+            hops = self.topo.path_from_switch(event.dpid, frame.dst, learn=learn)
+        except UnknownHostError:
+            return self._flood(event)
+        except PathError:
+            with self._lock:
                 self.stats.path_failures += 1
-                return self._flood(event)
-            installed: list[tuple[int, int]] = []
-            if self.cfg.install_rules:
-                installed = self._install_path(hops, frame.dst)
-            self.core.packet_out(event.dpid, hops[0].out_port, frame)
+            return self._flood(event)
+        installed: list[tuple[int, int]] = []
+        if self.cfg.install_rules:
+            installed = self._install_path(hops, frame.dst)
+        self.core.packet_out(event.dpid, hops[0].out_port, frame)
+        with self._lock:
             self.stats.forwarded += 1
-            return FwdDecision(
-                kind="forwarded", out_port=hops[0].out_port, installed_rules=installed
-            )
+        return FwdDecision(
+            kind="forwarded", out_port=hops[0].out_port, installed_rules=installed
+        )
 
     def _flood(self, event: PacketExceptionEvent) -> FwdDecision:
         frame = event.frame
         now = time.monotonic()
         key = (event.dpid, frame.src, frame.ethertype, hash(frame.payload))
-        expiry = self._seen_broadcasts.get(key, 0.0)
-        if expiry > now:
-            self.stats.duplicate_broadcasts += 1
-            return FwdDecision(kind="duplicate")
-        if len(self._seen_broadcasts) > 4096:
-            self._seen_broadcasts = {
-                k: v for k, v in self._seen_broadcasts.items() if v > now
-            }
-        self._seen_broadcasts[key] = now + BROADCAST_DEDUP_TTL_S
+        with self._lock:
+            if self._seen_broadcasts.get(key, 0.0) > now:
+                self.stats.duplicate_broadcasts += 1
+                return FwdDecision(kind="duplicate")
+            if len(self._seen_broadcasts) > 4096:
+                self._seen_broadcasts = {
+                    k: v for k, v in self._seen_broadcasts.items() if v > now
+                }
+            self._seen_broadcasts[key] = now + BROADCAST_DEDUP_TTL_S
         self.core.packet_out(event.dpid, FLOOD_PORT, frame)
-        self.stats.flooded += 1
+        with self._lock:
+            self.stats.flooded += 1
         return FwdDecision(kind="flooded", out_port=FLOOD_PORT)
 
     def _install_path(self, hops: list[PathHop], dst: MacAddr) -> list[tuple[int, int]]:
         now = time.monotonic()
         timeout = self.cfg.hard_timeout_s
+        expiry = now + timeout if timeout > 0 else float("inf")
+        with self._lock:
+            channel, rest = self.cfg.install_channel, self.rest
+            # claim each due switch before the calls, so a concurrent packet
+            # to the same destination installs nothing twice
+            due = [hop for hop in hops if self._installed.get((hop.dpid, dst), 0.0) <= now]
+            for hop in due:
+                self._installed[(hop.dpid, dst)] = expiry
         installed = []
-        for hop in hops:
-            key = (hop.dpid, dst)
-            if self._installed.get(key, 0.0) > now:
-                continue
-            request = FlowModRequest(
-                dpid=hop.dpid,
-                op=FlowModOp.ADD,
-                match=Match(eth_dst=dst),
-                actions=(Action(ActionKind.OUTPUT, hop.out_port),),
-                hard_timeout_s=timeout,
-            )
-            try:
-                if self.cfg.install_channel == "rest":
-                    rule_id = self.rest.install(request)
-                else:
-                    rule_id = self.core.flow_mod(request)
-            except CoreError:
-                log.warning("flow install on %d failed", hop.dpid, exc_info=True)
-                continue
-            self._installed[key] = now + timeout if timeout > 0 else float("inf")
-            self.stats.installs += 1
-            installed.append((hop.dpid, rule_id))
+        try:
+            for hop in due:
+                request = FlowModRequest(
+                    dpid=hop.dpid,
+                    op=FlowModOp.ADD,
+                    match=Match(eth_dst=dst),
+                    actions=(Action(ActionKind.OUTPUT, hop.out_port),),
+                    hard_timeout_s=timeout,
+                )
+                try:
+                    if channel == "rest":
+                        rule_id = rest.install(request)
+                    else:
+                        rule_id = self.core.flow_mod(request)
+                except CoreError:
+                    log.warning("flow install on %d failed", hop.dpid, exc_info=True)
+                    continue
+                installed.append((hop.dpid, rule_id))
+        finally:
+            done = {dpid for dpid, _ in installed}
+            with self._lock:
+                for hop in due:  # a failed or skipped install is tried again
+                    if hop.dpid not in done:
+                        self._installed.pop((hop.dpid, dst), None)
+                self.stats.installs += len(installed)
         return installed
 
 

@@ -10,6 +10,7 @@ equal-priority overlapping rules, so the oldest installed rule wins.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import insort
 from dataclasses import dataclass, replace
 from typing import Union
@@ -50,6 +51,17 @@ class RuleExpiry:
 
 Effect = Union[TxFrame, ToController, RuleExpiry]
 
+_FLOOD = (Action(ActionKind.FLOOD),)
+# Rounding margin: ``installed_at + hard_timeout_s`` may round above the time
+# at which ``FlowRule.expired`` first holds, so a deadline is kept this early.
+_DEADLINE_MARGIN_S = 1e-6
+
+
+def _deadline(rule: FlowRule) -> float:
+    if rule.hard_timeout_s <= 0:
+        return math.inf
+    return rule.installed_at + rule.hard_timeout_s - _DEADLINE_MARGIN_S
+
 
 class SwitchState:
     """Datapath state: port liveness and the ordered flow table."""
@@ -58,6 +70,8 @@ class SwitchState:
         self.dpid = dpid
         self.ports: dict[int, bool] = {p: True for p in ports}
         self._table: list[FlowRule] = []
+        # no rule expires before this time; it may be early, never late
+        self._next_deadline = math.inf
 
     # -- ports ------------------------------------------------------------
 
@@ -81,6 +95,7 @@ class SwitchState:
     def install(self, rule: FlowRule, now: float) -> FlowRule:
         rule.installed_at = now
         insort(self._table, rule, key=self._order)
+        self._next_deadline = min(self._next_deadline, _deadline(rule))
         return rule
 
     def remove(self, rule_id: int) -> FlowRule | None:
@@ -101,15 +116,19 @@ class SwitchState:
 
     def expire(self, now: float) -> list[FlowRule]:
         """Drop every rule whose hard timeout has elapsed and return them."""
+        if now < self._next_deadline:
+            return []
         expired = [r for r in self._table if r.expired(now)]
         if expired:
             self._table = [r for r in self._table if not r.expired(now)]
+        self._next_deadline = min(map(_deadline, self._table), default=math.inf)
         return expired
 
     def lookup(self, frame: Frame, in_port: int, now: float) -> FlowRule | None:
         """Highest-priority live rule matching the frame (oldest wins on ties)."""
+        due = now >= self._next_deadline
         for rule in self._table:
-            if rule.expired(now):
+            if due and rule.expired(now):
                 continue
             if rule.match.matches(frame, in_port):
                 return rule
@@ -134,14 +153,7 @@ def apply_actions(
     effects: list[Effect] = []
     for action in actions:
         if action.kind is ActionKind.OUTPUT:
-            if state.port_up(action.port):
-                effects.append(TxFrame(action.port, frame))
-            else:
-                log.warning(
-                    "switch %d: OUTPUT to missing/down port %s dropped",
-                    state.dpid,
-                    action.port,
-                )
+            effects += _output(state, action.port, frame)
         elif action.kind is ActionKind.FLOOD:
             for port in state.up_ports():
                 if port != in_port:
@@ -150,6 +162,13 @@ def apply_actions(
             effects.append(ToController(in_port if in_port is not None else 0, frame))
         # DROP emits nothing
     return effects
+
+
+def _output(state: SwitchState, port: int, frame: Frame) -> list[Effect]:
+    if state.port_up(port):
+        return [TxFrame(port, frame)]
+    log.warning("switch %d: OUTPUT to missing/down port %s dropped", state.dpid, port)
+    return []
 
 
 def switch_rx(state: SwitchState, in_port: int, frame: Frame, now: float) -> list[Effect]:
@@ -180,5 +199,5 @@ def switch_rx(state: SwitchState, in_port: int, frame: Frame, now: float) -> lis
 def apply_packet_out(state: SwitchState, out_port: int, frame: Frame) -> list[Effect]:
     """Controller-directed send: no table lookup, no counter updates."""
     if out_port == FLOOD_PORT:
-        return apply_actions(state, (Action(ActionKind.FLOOD),), None, frame)
-    return apply_actions(state, (Action(ActionKind.OUTPUT, out_port),), None, frame)
+        return apply_actions(state, _FLOOD, None, frame)
+    return _output(state, out_port, frame)

@@ -317,6 +317,67 @@ class TestPollCommits:
             assert broker.committed("b", "t") == 0
 
 
+class TestUnseenNames:
+    """The broker keeps no state for a topic nobody published to."""
+
+    def _apis(self):
+        """A fresh Broker, in process and then behind a BrokerServer."""
+        broker = Broker()
+        yield broker, broker
+        broker = Broker()
+        server = BrokerServer(broker).start()
+        client = BrokerClient(server.address)
+        try:
+            yield broker, client
+        finally:
+            client.close()
+            server.stop()
+
+    def test_polls_of_unknown_topics_leave_no_state(self):
+        for broker, api in self._apis():
+            api.publish("t", b"a")
+            api.poll("c", {"t": 1})
+            for i in range(1000):
+                assert api.poll(f"consumer-{i}", {f"unknown-{i}": 0}) == []
+            assert broker.topics() == ["t"]
+            assert api.committed("c", "t") == 1
+            assert [api.committed(f"consumer-{i}", f"unknown-{i}") for i in range(1000)] == [
+                None
+            ] * 1000
+            assert api.committed("consumer-0", "t") is None
+
+    def test_a_poll_commits_only_the_topics_that_have_a_log(self):
+        for broker, api in self._apis():
+            api.publish("t", b"a")
+            assert [r.data for r in api.poll("c", {"u": 0, "t": 0})] == [b"a"]
+            assert api.committed("c", "t") == 0
+            assert api.committed("c", "u") is None
+            with pytest.raises(OffsetOutOfRangeError, match="offset 1 beyond log length 0"):
+                api.poll("c", {"u": 1})
+            assert broker.topics() == ["t"]
+
+    def test_commit_reads_an_unknown_topic_as_empty(self):
+        for broker, api in self._apis():
+            api.commit("c", "u", 0)
+            with pytest.raises(OffsetOutOfRangeError, match="cannot commit 1 beyond log length 0"):
+                api.commit("c", "u", 1)
+            assert api.committed("c", "u") is None
+            assert broker.topics() == []
+            api.publish("u", b"a")
+            api.commit("c", "u", 1)
+            assert api.committed("c", "u") == 1
+
+    def test_a_waiting_poll_sees_a_topic_created_while_it_waits(self):
+        broker = Broker()
+        publisher = threading.Timer(0.05, broker.publish, ("late", b"x"))
+        publisher.start()
+        try:
+            batch = broker.poll("c", {"late": 0}, max_wait=2.0)
+        finally:
+            publisher.join()
+        assert [r.data for r in batch] == [b"x"]
+        assert broker.committed("c", "late") == 0
+
 class TestCrossTopicOrder:
     """A consumer over several topics gets events in the core's seq order."""
 

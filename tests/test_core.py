@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
 import time
 
@@ -29,6 +31,7 @@ from flowplane.wire import (
     EventKind,
     FLOOD_PORT,
     FlowModOp,
+    FlowRule,
     FlowRuleEvent,
     Frame,
     Hello,
@@ -200,6 +203,78 @@ class TestRaiseEvent:
         assert len(rule_events) == 1
         assert rule_events[0].op is RuleEventOp.ADDED
         assert rule_events[0].rule.hard_timeout_s == 10
+
+
+ONE_OF_EACH_KIND = [
+    PacketExceptionEvent(dpid=1, in_port=2, frame=frame()),
+    TopologyLinkEvent(src_dpid=1, src_port=2, dst_dpid=3, dst_port=4, up=True),
+    TopologyDeviceEvent(dpid=5, up=False),
+    TopologyPortEvent(dpid=6, port=7, up=True),
+    FlowRuleEvent(
+        op=RuleEventOp.ADDED,
+        dpid=8,
+        rule=FlowRule(rule_id=9, priority=10, match=Match(eth_dst=H2),
+                      actions=(Action(ActionKind.OUTPUT, 2),), hard_timeout_s=3),
+    ),
+]
+
+
+class TestStamp:
+    """``raise_event`` stamps a copy that is what ``dataclasses.replace`` builds."""
+
+    @pytest.mark.parametrize("event", ONE_OF_EACH_KIND, ids=lambda e: type(e).__name__)
+    def test_stamped_copy_equals_replace(self, event):
+        core = Core()
+        core.raise_event(TopologyDeviceEvent(dpid=99, up=True))  # seq 1
+        before = dataclasses.replace(event)
+        stamped = core.raise_event(event)
+        expected = dataclasses.replace(event, seq=2, ts_micros=stamped.ts_micros)
+        assert type(stamped) is type(event)
+        assert stamped == expected and hash(stamped) == hash(expected)
+        assert vars(stamped) == vars(expected)
+        assert stamped.ts_micros > 0
+        # the caller's event is left as it was
+        assert stamped is not event
+        assert event == before and event.seq == 0 and event.ts_micros == 0
+        assert core.event_log()[-1] is stamped
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stamped.seq = 3
+
+    def test_punt_path_stamps_once_per_frame_without_replace(self, monkeypatch):
+        from flowplane.stack import Stack, StackConfig
+
+        spec = build_linear(3)
+        with Stack(spec, StackConfig(discovery_interval=0)) as stack:
+            stack.warm()
+            stack.fabric.quiesce()
+            first = len(stack.event_log())
+            stamps = []
+            raise_event = Core.raise_event
+
+            def counting_raise(self, event):
+                stamps.append(event)
+                return raise_event(self, event)
+
+            replaced = []
+            real_replace = dataclasses.replace
+
+            def counting_replace(obj, /, **changes):
+                replaced.append(type(obj).__name__)
+                return real_replace(obj, **changes)
+
+            monkeypatch.setattr(Core, "raise_event", counting_raise)
+            monkeypatch.setattr(dataclasses, "replace", counting_replace)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("flowplane") and getattr(module, "replace", None) is real_replace:
+                    monkeypatch.setattr(module, "replace", counting_replace)
+            samples = stack.host("h1").ping(stack.host("h2").mac, count=3, interval=0)
+            stack.fabric.quiesce()
+            assert all(not s.lost for s in samples)
+            punted = stack.event_log()[first:]
+        # 3 switches each way per ping, every one a punt stamped once
+        assert len(punted) == 18 and len(stamps) == 18
+        assert all(isinstance(e, PacketExceptionEvent) for e in punted)
+        assert replaced == []
 
 
 class TestPacketOut:

@@ -200,6 +200,41 @@ class TestSocketStream:
         dist.push(link_event(5))
         assert decode_event(client.get(timeout=2)).seq == 5
 
+    def test_burst_arrives_in_seq_order(self, served):
+        dist, connect = served
+        client = connect({EventKind.PACKET})
+        self._wait_subs(dist, 1)
+        for seq in range(1, 2001):
+            dist.push(packet_event(seq))
+        seqs = [decode_event(client.get(timeout=2)).seq for _ in range(2000)]
+        assert seqs == list(range(1, 2001))
+        assert client.get(timeout=0.05) is None
+
+    def test_socket_timeout_is_set_only_when_it_changes(self, served):
+        dist, connect = served
+        client = connect({EventKind.PACKET})
+        self._wait_subs(dist, 1)
+        set_to = []
+        sock = client._sock
+
+        class CountingSocket:
+            def settimeout(self, value):
+                set_to.append(value)
+                sock.settimeout(value)
+
+            def __getattr__(self, name):
+                return getattr(sock, name)
+
+        client._sock = CountingSocket()
+        for seq in range(1, 6):
+            dist.push(packet_event(seq))
+        assert [decode_event(client.get(timeout=2)).seq for _ in range(5)] == [1, 2, 3, 4, 5]
+        assert client.get(timeout=0.01) is None
+        assert client.get(timeout=0.01) is None
+        dist.push(packet_event(6))
+        assert decode_event(client.get(timeout=2)).seq == 6
+        assert set_to == [2, 0.01, 2]
+
     def test_client_close_unsubscribes(self, served):
         dist, connect = served
         client = connect({EventKind.PACKET})

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 from collections import deque
 
 import pytest
 
-from flowplane.core import Core, DistMode
+from flowplane.core import Core, CoreError, DistMode
 from flowplane.services import (
     DiscoveryPayload,
     ForwardingService,
@@ -36,6 +37,7 @@ from flowplane.wire import (
     MacAddr,
     PacketExceptionEvent,
     TopologyDeviceEvent,
+    TopologyLinkEvent,
     TopologyPortEvent,
 )
 
@@ -392,6 +394,87 @@ class TestPaths:
         assert [h.dpid for h in hops] == [3, 4, 5]
 
 
+class TestPathMemo:
+    def test_one_snapshot_builds_each_path_once_and_hands_out_copies(self, monkeypatch):
+        graph = graph_from_spec(build_fat_tree(4))
+        routes = []
+        route = TopologyGraph.route
+
+        def counting_route(self, start, dst):
+            routes.append((start, dst))
+            return route(self, start, dst)
+
+        monkeypatch.setattr(TopologyGraph, "route", counting_route)
+        h16 = MacAddr.host(16)
+        first = path_from_switch(graph, 5, h16)
+        second = path_from_switch(graph, 5, h16)
+        assert first == second and first is not second
+        assert len(routes) == 1
+        first.reverse()
+        first.append(first[0])
+        assert path_from_switch(graph, 5, h16) == second
+        # another snapshot of the same map builds its own
+        assert path_from_switch(graph_from_spec(build_fat_tree(4)), 5, h16) == second
+        assert len(routes) == 2
+
+    def test_failed_path_raises_every_time(self):
+        graph = graph_from_spec(build_linear(2))
+        for _ in range(2):
+            with pytest.raises(UnknownHostError):
+                path_from_switch(graph, 1, MacAddr.host(9))
+            with pytest.raises(NoPathError):
+                path_from_switch(graph, 7, MacAddr.host(2))
+
+
+class TestIgnoredWithoutTheLock:
+    def _topo(self):
+        spec = build_linear(3)
+        topo = make_topo()
+        for sw in spec.switches:
+            register(topo, (sw.dpid, range(1, sw.n_ports + 1)))
+        for l in spec.links:
+            topo.on_event(packet_event(l.b_dpid, l.b_port, probe_frame(l.a_dpid, l.a_port)))
+            topo.on_event(packet_event(l.a_dpid, l.a_port, probe_frame(l.b_dpid, l.b_port)))
+        return spec, topo
+
+    def _returns_while_locked(self, topo, call):
+        """Run ``call`` on another thread while this one holds the map's lock."""
+        results = []
+        with topo._lock:
+            worker = threading.Thread(target=lambda: results.append(call()))
+            worker.start()
+            worker.join(1.0)
+            returned = not worker.is_alive()
+        worker.join()
+        assert returned, "the call waited for the map's lock"
+        return results[0]
+
+    def test_unicast_packet_and_non_map_events_skip_the_lock(self):
+        _spec, topo = self._topo()
+        unicast = Frame(MacAddr.host(2), MacAddr.host(1), ETHERTYPE_DATA, b"data")
+        unicast_arp = Frame(MacAddr.host(2), MacAddr.host(1), ETHERTYPE_ARP, b"data")
+        link = TopologyLinkEvent(src_dpid=1, src_port=1, dst_dpid=2, dst_port=1, up=True)
+        for event in (packet_event(1, 3, unicast), packet_event(1, 3, unicast_arp), link):
+            delta = self._returns_while_locked(topo, lambda: topo.on_event(event))
+            assert delta.ignored and delta.empty
+
+    def test_known_and_link_port_sightings_return_at_once(self, monkeypatch):
+        spec, topo = self._topo()
+        h1 = spec.host_by_id("h1")
+        topo.learn_host(h1.mac, h1.dpid, h1.port)
+        graph = topo.graph()
+        learned = []
+        monkeypatch.setattr(topo, "_learn", lambda *args: learned.append(args))
+        link = spec.links[0]
+        topo.learn_host(h1.mac, h1.dpid, h1.port)  # already there
+        topo.learn_host(h1.mac, link.a_dpid, link.a_port)  # a port that faces a switch
+        topo.path_from_switch(2, h1.mac, learn=(MacAddr.host(2), link.b_port))
+        assert learned == []
+        assert topo.graph() is graph
+        assert topo.host_location(h1.mac) == HostLocation(h1.mac, h1.dpid, h1.port)
+        topo.learn_host(h1.mac, 3, 3)  # a move still reaches the map
+        assert len(learned) == 1
+
 class TestForwardingUnit:
     def _setup(self, install=False, channel="direct"):
         spec = build_linear(3)
@@ -479,6 +562,101 @@ class TestForwardingUnit:
         decision = fwd.handle_packet(packet_event(1, 1, probe_frame(2, 1)))
         assert decision.kind == "ignored"
         assert fwd.stats.packets_handled == 0
+
+    def test_lock_is_not_held_across_the_topology_query(self):
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingTopology:
+            def path_from_switch(self, dpid, dst_mac, learn=None):
+                entered.set()
+                release.wait(5)
+                raise UnknownHostError(f"no location for {dst_mac}")
+
+            def learn_host(self, mac, dpid, port):
+                pass
+
+        core = RecordingCore()
+        fwd = ForwardingService(core, BlockingTopology())
+        unicast = Frame(MacAddr.host(2), MacAddr.host(1), ETHERTYPE_DATA, b"data")
+        decisions = []
+        handler = threading.Thread(
+            target=lambda: decisions.append(fwd.handle_packet(packet_event(1, 3, unicast)))
+        )
+        handler.start()
+        try:
+            assert entered.wait(2)
+            swapped = threading.Event()
+            swapper = threading.Thread(
+                target=lambda: (fwd.set_install_channel("direct"), swapped.set())
+            )
+            swapper.start()
+            assert swapped.wait(1.0), "set_install_channel waited for the topology query"
+            swapper.join(2)
+            assert not swapper.is_alive()
+        finally:
+            release.set()
+            handler.join(5)
+        assert not handler.is_alive()
+        assert [d.kind for d in decisions] == ["flooded"]
+        assert fwd.stats.packets_handled == 1 and fwd.stats.flooded == 1
+
+    def test_failed_install_is_tried_again(self):
+        spec, core, topo, fwd = self._setup(install=True)
+        self._locate_hosts(spec, topo)
+        fail = [True]
+        flow_mod = core.flow_mod
+
+        def flaky_flow_mod(req):
+            if req.dpid == 2 and fail[0]:
+                raise CoreError("switch 2 refused")
+            return flow_mod(req)
+
+        core.flow_mod = flaky_flow_mod
+        f = Frame(MacAddr.host(2), MacAddr.host(1), ETHERTYPE_DATA, b"data")
+        port = spec.host_by_id("h1").port
+        first = fwd.handle_packet(packet_event(1, port, f))
+        assert [dpid for dpid, _ in first.installed_rules] == [1, 3]
+        fail[0] = False
+        second = fwd.handle_packet(packet_event(1, port, f))
+        assert [dpid for dpid, _ in second.installed_rules] == [2]
+        assert fwd.handle_packet(packet_event(1, port, f)).installed_rules == []
+        assert fwd.stats.installs == 3
+
+    def test_concurrent_packets_count_every_one_and_install_once(self):
+        spec, core, topo, fwd = self._setup(install=True)
+        self._locate_hosts(spec, topo)
+        h1, h2 = spec.host_by_id("h1"), spec.host_by_id("h2")
+        to_h2 = packet_event(1, h1.port, Frame(h2.mac, h1.mac, ETHERTYPE_DATA, b"data"))
+        to_h1 = packet_event(3, h2.port, Frame(h1.mac, h2.mac, ETHERTYPE_DATA, b"data"))
+        per_thread, n_threads = 300, 6
+        start = threading.Barrier(n_threads)
+
+        def send(event):
+            start.wait(5)
+            for _ in range(per_thread):
+                fwd.handle_packet(event)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=send, args=((to_h2, to_h1)[i % 2],))
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = per_thread * n_threads
+        assert fwd.stats.packets_handled == total and fwd.stats.forwarded == total
+        assert len(core.packet_outs) == total
+        # one rule per switch and destination, however the threads interleaved
+        installed = sorted((req.dpid, req.match.eth_dst) for _, req in core.flow_mods)
+        assert installed == sorted((d, mac) for d in (1, 2, 3) for mac in (h1.mac, h2.mac))
+        assert fwd.stats.installs == 6
 
 
 class ThreeCallForwarding(ForwardingService):

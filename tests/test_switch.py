@@ -245,3 +245,85 @@ def test_match_oracle_equivalence():
             assert got is None
         else:
             assert got is not None and got.rule_id == expected.rule_id
+
+
+class TestNextDeadline:
+    """Expiry keeps the table's next deadline, so a frame with nothing due
+    costs one comparison instead of a walk over the table."""
+
+    def _count_expired_calls(self, monkeypatch) -> list[int]:
+        calls = [0]
+        expired = FlowRule.expired
+
+        def counting(self, now):
+            calls[0] += 1
+            return expired(self, now)
+
+        monkeypatch.setattr(FlowRule, "expired", counting)
+        return calls
+
+    def test_frame_with_nothing_due_checks_no_rule(self, monkeypatch):
+        st = SwitchState(1, range(1, 3))
+        for rid in range(1, 101):
+            st.install(rule(rid, 5, Match(eth_dst=MacAddr.host(100 + rid)),
+                            [Action(ActionKind.OUTPUT, 2)], timeout=10), now=0.0)
+        calls = self._count_expired_calls(monkeypatch)
+        effects = switch_rx(st, 1, data_frame(), now=9.0)
+        assert effects == [ToController(1, data_frame())]
+        assert calls[0] == 0
+        assert st.expire(now=9.999) == []
+        assert calls[0] == 0 and len(st) == 100
+
+    def test_due_rule_is_found_among_many(self):
+        st = SwitchState(1, range(1, 3))
+        for rid in range(1, 101):
+            st.install(rule(rid, 5, Match(), [Action(ActionKind.DROP)], timeout=0), now=0.0)
+        st.install(rule(200, 5, Match(), [Action(ActionKind.DROP)], timeout=3), now=1.0)
+        st.install(rule(201, 5, Match(), [Action(ActionKind.DROP)], timeout=7), now=1.0)
+        assert st.expire(now=3.9) == []
+        assert [r.rule_id for r in st.expire(now=4.0)] == [200]
+        assert st.expire(now=7.9) == []
+        assert [r.rule_id for r in st.expire(now=8.0)] == [201]
+        assert st.expire(now=1e9) == [] and len(st) == 100
+
+    def test_random_table_changes_expire_as_a_full_walk_does(self):
+        rng = random.Random(0xDEAD)
+        for trial in range(200):
+            st = SwitchState(1, range(1, 3))
+            now = 0.0
+            for step in range(40):
+                now += rng.uniform(0, 1.5)
+                op = rng.random()
+                if op < 0.5:
+                    st.install(rule(1000 * trial + step, rng.randrange(4), Match(),
+                                    [Action(ActionKind.DROP)], timeout=rng.choice((0, 1, 2, 5))),
+                               now=now)
+                elif op < 0.65 and len(st):
+                    st.remove(rng.choice(st.rules()).rule_id)
+                elif op < 0.8 and len(st):
+                    old = rng.choice(st.rules())
+                    st.modify(rule(old.rule_id, old.priority, Match(), [Action(ActionKind.DROP)],
+                                   timeout=rng.choice((0, 1, 3))), now=now)
+                # the brute-force answer, from snapshot copies of the table
+                due = sorted(r.rule_id for r in st.rules() if r.expired(now))
+                assert sorted(r.rule_id for r in st.expire(now)) == due
+                assert all(not r.expired(now) for r in st.rules())
+
+
+class TestDirectedPacketOut:
+    def test_directed_output_builds_no_action(self, monkeypatch):
+        import flowplane.switch as switch_mod
+
+        def no_action(*args, **kwargs):
+            raise AssertionError("an Action was built for a packet-out")
+
+        monkeypatch.setattr(switch_mod, "Action", no_action)
+        st = SwitchState(3, range(1, 5))
+        assert apply_packet_out(st, 2, data_frame()) == [TxFrame(2, data_frame())]
+
+    def test_directed_output_to_down_port_drops(self, caplog):
+        st = SwitchState(3, range(1, 5))
+        st.set_port(2, False)
+        assert apply_packet_out(st, 2, data_frame()) == []
+        assert apply_packet_out(st, 9, data_frame()) == []
+        assert "OUTPUT to missing/down port 2 dropped" in caplog.text
